@@ -6,10 +6,9 @@
  * channel (Section IV-E). More channels multiply bus bandwidth, bank
  * count and eager-queue capacity; like the Figure 18 bank sweep, this
  * shows how Mellow Writes' benefit scales with the parallelism
- * available to hide slow writes in. The wide points (16+) are also the
- * shape the sharded runtime targets — pass --shards <n> (or set
- * MELLOWSIM_SHARDS) to run each simulation on the per-channel
- * ChannelShard path described in DESIGN.md §15.
+ * available to hide slow writes in. Each simulation is one
+ * single-threaded System however many channels it models; the grid
+ * cells run in parallel across MELLOWSIM_JOBS workers.
  */
 
 #include <cstdio>

@@ -13,14 +13,10 @@
  *   MELLOWSIM_JOBS    parallel simulations (default: all cores)
  *   MELLOWSIM_DEVICE  device config from configs/ (default: the
  *                     compiled-in reram_paper point)
- *   MELLOWSIM_SHARDS  shard-parallel workers per simulation
- *                     (default 0: the monolithic path; see
- *                     system/sharded.hh)
  *
- * Every binary also takes --device <name> / --device=<name>,
- * --list-devices and --shards <n> / --shards=<n> (see applyBenchArgs),
- * so a figure can be regenerated for any device in the zoo — or run
- * shard-parallel — without touching the environment.
+ * Every binary also takes --device <name> / --device=<name> and
+ * --list-devices (see applyBenchArgs), so a figure can be regenerated
+ * for any device in the zoo without touching the environment.
  */
 
 #ifndef MELLOWSIM_BENCH_BENCH_UTIL_HH
@@ -45,14 +41,13 @@ using namespace mellowsim;
 
 /**
  * Consume the flags shared by every bench binary (--device,
- * --list-devices, --shards), leaving positional arguments compacted
- * in argv. Call first thing in main().
+ * --list-devices), leaving positional arguments compacted in argv.
+ * Call first thing in main().
  */
 inline void
 applyBenchArgs(int &argc, char **argv)
 {
     applyDeviceArgs(argc, argv);
-    applyShardArgs(argc, argv);
 }
 
 /** Print the standard experiment banner, naming any selected device. */

@@ -18,12 +18,6 @@
  *   perf.rq.steady_allocs          ditto for the queue churn loop
  *   perf.system.sim_ticks_per_host_sec
  *   perf.system.instrs_per_host_sec
- *   perf.shard.ns_per_epoch        epoch-driver overhead (4-shard ring)
- *   perf.shard.msgs_per_s          cross-shard SPSC ring throughput
- *   perf.shard.events_per_s        sharded System, 4 workers
- *   perf.shard.events_per_s_serial sharded System, serial oracle
- *   perf.shard.speedup             4-worker / serial events-per-second
- *                                  (bounded by the host's core count)
  *
  * Scaling knobs (environment):
  *   MELLOWSIM_PERF_EVENTS  events in the timed kernel loop (def 2e6)
@@ -38,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench_util.hh"
@@ -47,10 +40,7 @@
 #include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "sim/shard.hh"
-#include "sim/sync.hh"
 #include "system/report.hh"
-#include "system/sharded.hh"
 #include "system/system.hh"
 
 using namespace mellowsim;
@@ -273,111 +263,6 @@ benchSystemSlice(std::uint64_t instructions)
     metric("system.host_sec", secs);
 }
 
-/**
- * Shard-epoch driver cost: a 4-shard forwarding ring with a constant
- * in-flight message population, driven through fixed-horizon epochs by
- * the serial oracle. Isolates the per-epoch overhead of the epoch
- * driver (port drain + queue run + bookkeeping) and the cross-shard
- * message rate through the SPSC rings, with no model code in the loop.
- */
-void
-benchShardEpochs(std::uint64_t epochs)
-{
-    constexpr Tick kLookahead = 16;
-    constexpr unsigned kShards = 4;
-    constexpr unsigned kSeedsPerShard = 8;
-
-    ShardGroup group{Lookahead(kLookahead)};
-    std::vector<ChannelShard *> shards;
-    for (unsigned i = 0; i < kShards; ++i)
-        shards.push_back(&group.addShard());
-    for (unsigned i = 0; i < kShards; ++i)
-        group.connect(*shards[i], *shards[(i + 1) % kShards]);
-
-    for (ChannelShard *shard : shards) {
-        // Every delivery forwards, so the in-flight population stays
-        // at kShards * kSeedsPerShard for the whole run.
-        shard->setHandler(
-            [](ChannelShard &self, Tick, ShardPayload payload) {
-                self.send(0, payload);
-            });
-        for (Tick extra = 0; extra < kSeedsPerShard; ++extra)
-            shard->sendDelayed(0, shard->id() + 1, extra);
-    }
-
-    Clock::time_point t0 = Clock::now();
-    group.run(epochs * kLookahead, 1);
-    double secs = secondsSince(t0);
-
-    ShardStats merged = group.mergedStats();
-    metric("shard.ns_per_epoch",
-           secs * 1e9 / static_cast<double>(epochs));
-    metric("shard.msgs_per_s",
-           static_cast<double>(merged.messagesReceived.value()) / secs);
-}
-
-/**
- * Sharded-System slice: the real 16-channel model on the ChannelShard
- * path (DESIGN.md §15), serial oracle vs 4 workers. The two runs are
- * fingerprint-identical (that is the determinism contract), so the
- * speedup is a pure host-throughput ratio; on a single-core host it
- * sits at or below 1.0 and the absolute events/s is the number that
- * matters.
- */
-void
-benchShardedSystem(std::uint64_t instructions)
-{
-    SystemConfig cfg;
-    cfg.workloadName = "gups"; // random traffic touches every channel
-    cfg.policy = policies::beMellow().withSC().withWQ();
-    cfg.instructions = instructions;
-    cfg.warmupInstructions = instructions / 4;
-    cfg.seed = 1;
-    cfg.numChannels = 16;
-    cfg.memory.geometry.capacityBytes = 1ull << 30;
-
-    auto timedRun = [&cfg](unsigned shards, ShardRunInfo &info,
-                           std::string &fingerprint) {
-        SystemConfig run = cfg;
-        run.shards = shards;
-        Clock::time_point t0 = Clock::now();
-        SimReport r = runShardedSystem(run, &info);
-        double secs = secondsSince(t0);
-        if (r.simTicks == 0)
-            std::printf("# empty sharded run\n");
-        fingerprint = reportFingerprint(r);
-        return secs;
-    };
-
-    ShardRunInfo serial, threaded;
-    std::string serialPrint, threadedPrint;
-    double serialSecs = timedRun(1, serial, serialPrint);
-    double threadedSecs = timedRun(4, threaded, threadedPrint);
-
-    // The perf numbers above are advisory; this is the gate. A
-    // threaded run that drifts from the serial oracle means the
-    // epoch protocol lost determinism, and no throughput figure from
-    // a diverged simulation is worth recording.
-    if (serialPrint != threadedPrint) {
-        std::fprintf(stderr,
-                     "FAIL: sharded System fingerprint diverged "
-                     "between --shards 1 and --shards 4\n");
-        std::exit(1);
-    }
-
-    double serialRate =
-        static_cast<double>(serial.events) / serialSecs;
-    double threadedRate =
-        static_cast<double>(threaded.events) / threadedSecs;
-    metric("shard.events_per_s", threadedRate);
-    metric("shard.events_per_s_serial", serialRate);
-    metric("shard.speedup", threadedRate / serialRate);
-    std::printf("# shard slice: events=%llu epochs=%llu cores=%u\n",
-                static_cast<unsigned long long>(serial.events),
-                static_cast<unsigned long long>(serial.epochs),
-                sync::hardwareConcurrency());
-}
-
 } // namespace
 
 int
@@ -402,7 +287,5 @@ main(int argc, char **argv)
     benchScheduleCancel(events / 2);
     benchRequestQueue(events / 2);
     benchSystemSlice(instrs);
-    benchShardEpochs(events / 40);
-    benchShardedSystem(instrs / 4);
     return 0;
 }

@@ -25,8 +25,8 @@ main(int argc, char **argv)
         EnergyParams p;
         p.cell = cell;
         std::printf("%-8s %10.2f %10.2f\n", cellTypeName(cell).c_str(),
-                    cellEnergyPj(cell),
-                    cellEnergyPj(cell) * p.slowCellEnergyFactor);
+                    cellEnergyPj(cell).value(),
+                    (cellEnergyPj(cell) * p.slowCellEnergyFactor).value());
     }
 
     std::printf("\nTable VI (per-operation energy of the main "
@@ -38,8 +38,10 @@ main(int argc, char **argv)
         p.cell = cell;
         EnergyModel m(p);
         std::printf("%-8s %12.1f %12.1f %12.1f %12.2f\n",
-                    cellTypeName(cell).c_str(), m.readEnergyPj(false),
-                    m.writeEnergyPj(false), m.writeEnergyPj(true),
+                    cellTypeName(cell).c_str(),
+                    m.readEnergyPj(false).value(),
+                    m.writeEnergyPj(false).value(),
+                    m.writeEnergyPj(true).value(),
                     m.slowNormalWriteRatio());
     }
 

@@ -129,7 +129,6 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
 {
     Tick now = _eventq.curTick();
     ++_stats.demandReads;
-    ++_inFlightReads;
 
     // Read forwarding: a queued (or eager-queued) write to the same
     // block supplies the data from the controller's buffers without
@@ -139,14 +138,10 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
         ++_stats.forwardedReads;
         _stats.readLatency.sample(
             static_cast<double>(_config.forwardLatency));
-        auto deliver = [this, cb = std::move(onComplete)] {
-            --_inFlightReads;
-            cb();
-        };
-        static_assert(EventQueue::fitsInline<decltype(deliver)>(),
+        static_assert(EventQueue::fitsInline<ReadCallback>(),
                       "forwarded-read callback must use the inline "
                       "slot, not the out-of-line pool");
-        _eventq.scheduleIn(_config.forwardLatency, std::move(deliver));
+        _eventq.scheduleIn(_config.forwardLatency, std::move(onComplete));
         return;
     }
 
@@ -205,22 +200,6 @@ std::size_t
 MemoryController::pendingReads() const
 {
     return _readQ.size();
-}
-
-bool
-MemoryController::idle() const
-{
-    if (_readQ.size() != 0 || _writeQ.size() != 0 || _eagerQ.size() != 0)
-        return false;
-    if (_inFlightReads != 0 || _pausedBanks.any())
-        return false;
-    // A valid completion handle means a write pulse is running in the
-    // bank (its request lives there, not in any queue).
-    for (const EventHandle &h : _writeCompletion) {
-        if (h != InvalidEventHandle)
-            return false;
-    }
-    return true;
 }
 
 void
@@ -366,7 +345,6 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
     _stats.readLatency.sample(static_cast<double>(done - req.arrival));
 
     auto deliver = [this, cb = std::move(req.onComplete)] {
-        --_inFlightReads;
         if (cb)
             cb();
         requestSchedule(_eventq.curTick());
@@ -633,13 +611,10 @@ MemoryController::onWriteComplete(BankId bank)
         // Ok, Retired (data landed in the fresh spare), and
         // Uncorrectable (data lost, loss recorded) all complete the
         // request — graceful degradation, never an abort.
-        if (req.type == ReqType::EagerWrite) {
+        if (req.type == ReqType::EagerWrite)
             ++_stats.completedEagerWrites;
-            if (_onEagerComplete)
-                _onEagerComplete();
-        } else {
+        else
             ++_stats.completedDemandWrites;
-        }
     }
 
     runLevelerMaintenance(bank, logical, now);

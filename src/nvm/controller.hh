@@ -198,29 +198,6 @@ class MemoryController : public MemoryPort
     /** Outstanding demand reads (for MSHR-style admission checks). */
     [[nodiscard]] std::size_t pendingReads() const;
 
-    /**
-     * Fires once per accepted eager write when it completes (retries
-     * and cancellations are not completions). The sharded front end
-     * uses this as its credit-return signal: credits taken at send
-     * time flow back exactly when eager-queue occupancy drops.
-     */
-    using EagerCompleteCallback = std::function<void()>;
-    void
-    setEagerCompleteCallback(EagerCompleteCallback cb)
-    {
-        _onEagerComplete = std::move(cb);
-    }
-
-    /**
-     * True when the controller holds no model work: every queue is
-     * empty, no read is queued or in flight, no write pulse is
-     * running or paused. Periodic bookkeeping events (quota period,
-     * deduplicated scheduler passes) are deliberately ignored — they
-     * make no progress on an idle controller, so the sharded epoch
-     * driver may stop while they are still pending.
-     */
-    [[nodiscard]] bool idle() const;
-
     // --- End-of-run ------------------------------------------------
     /** Truncate busy/drain accounting at the current tick. */
     void finalize();
@@ -396,12 +373,6 @@ class MemoryController : public MemoryPort
     IndexedVector<BankId, std::unique_ptr<WearLeveler>> _levelers;
 
     MemControllerStats _stats;
-
-    /** Demand reads accepted but not yet delivered (queued, issued,
-     * or forwarded with the delivery event still pending). */
-    std::uint64_t _inFlightReads = 0;
-    /** Credit-return seam for the sharded front end (may be empty). */
-    EagerCompleteCallback _onEagerComplete;
 
     /** Dedup state for the scheduler event. */
     EventHandle _scheduleEvent = InvalidEventHandle;

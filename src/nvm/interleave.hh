@@ -1,13 +1,9 @@
 /**
  * @file
- * Channel-interleave address decode, shared by every composition that
- * stripes one address space across channels.
- *
- * MemorySystem (the monolithic multi-channel path) and the sharded
- * front-end router (system/sharded.cc) must agree bit-for-bit on which
- * channel serves an address and what the channel-local rewrite is —
- * the serial-vs-sharded fingerprint audit depends on it — so the
- * arithmetic lives here exactly once.
+ * Channel-interleave address decode for MemorySystem: which channel
+ * serves an address and what its channel-local rewrite is. The
+ * 4-channel entry of the golden fingerprints (tests/golden/) pins the
+ * arithmetic.
  */
 
 #ifndef MELLOWSIM_NVM_INTERLEAVE_HH

@@ -8,6 +8,14 @@
 namespace mellowsim
 {
 
+namespace
+{
+
+/**
+ * The controller configuration channel @p c gets: capacity split
+ * evenly, fault seed perturbed so channels never share weak-line
+ * draws.
+ */
 MemControllerConfig
 perChannelConfig(const MemControllerConfig &channel, unsigned numChannels,
                  unsigned c)
@@ -20,6 +28,8 @@ perChannelConfig(const MemControllerConfig &channel, unsigned numChannels,
         0x9E3779B97F4A7C15ull * static_cast<std::uint64_t>(c);
     return per_channel;
 }
+
+} // namespace
 
 MemorySystem::MemorySystem(EventQueue &eventq,
                            const MemorySystemConfig &config)

@@ -115,17 +115,6 @@ class MemorySystem : public MemoryPort
     IndexedVector<ChannelId, std::unique_ptr<MemoryController>> _channels;
 };
 
-/**
- * The per-channel controller configuration a multi-channel system
- * hands channel @p c: capacity split evenly, fault seed perturbed so
- * channels never share weak-line draws. MemorySystem and the sharded
- * ChannelTask both build their controllers through this, which is
- * what makes a sharded channel bit-identical to its monolithic twin.
- */
-[[nodiscard]] MemControllerConfig
-perChannelConfig(const MemControllerConfig &channel, unsigned numChannels,
-                 unsigned c);
-
 } // namespace mellowsim
 
 #endif // MELLOWSIM_NVM_MEMORY_SYSTEM_HH

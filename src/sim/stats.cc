@@ -9,17 +9,6 @@ namespace mellowsim
 namespace stats
 {
 
-void
-Histogram::merge(const Histogram &other)
-{
-    panic_if(_counts.size() != other._counts.size() || _max != other._max,
-             "histogram merge shape mismatch: [0,%f)x%zu vs [0,%f)x%zu",
-             _max, _counts.size(), other._max, other._counts.size());
-    _total += other._total;
-    for (std::size_t i = 0; i < _counts.size(); ++i)
-        _counts[i] += other._counts[i];
-}
-
 double
 geoMean(const std::vector<double> &values)
 {

@@ -27,12 +27,9 @@ namespace stats
 /**
  * Monotonically increasing event count.
  *
- * Like every stats primitive here, a Counter is shard-owned state in
- * the concurrency model (DESIGN.md §11): only its owning shard samples
- * it during a run, and cross-shard aggregation happens via merge() on
- * the coordinating thread after the workers are joined — the join is
- * the synchronization point, so the types themselves stay lock-free
- * and the hot path stays a plain increment.
+ * Like every stats primitive here, a Counter belongs to one System,
+ * and a System runs on exactly one sweep worker (DESIGN.md §11), so
+ * the types stay lock-free and the hot path stays a plain increment.
  */
 class Counter
 {
@@ -42,9 +39,6 @@ class Counter
     void operator+=(std::uint64_t v) { _value += v; }
     [[nodiscard]] std::uint64_t value() const { return _value; }
     void reset() { _value = 0; }
-
-    /** Fold another shard's tally into this one (post-join only). */
-    void merge(const Counter &other) { _value += other._value; }
 
   private:
     std::uint64_t _value = 0;
@@ -76,20 +70,6 @@ class Average
         _count = 0;
         _min = std::numeric_limits<double>::infinity();
         _max = -std::numeric_limits<double>::infinity();
-    }
-
-    /** Fold another shard's samples into this one (post-join only).
-     * Exact for sum/count/min/max; mean() over the merged state equals
-     * the mean over the concatenated sample streams. */
-    void
-    merge(const Average &other)
-    {
-        if (other._count == 0)
-            return;
-        _sum += other._sum;
-        _count += other._count;
-        _min = std::min(_min, other._min);
-        _max = std::max(_max, other._max);
     }
 
   private:
@@ -184,11 +164,6 @@ class Histogram
     [[nodiscard]] std::uint64_t total() const { return _total; }
     [[nodiscard]] const std::vector<std::uint64_t> &buckets() const { return _counts; }
     [[nodiscard]] double max() const { return _max; }
-
-    /** Fold another shard's histogram into this one (post-join only).
-     * Panics if the bucket shapes differ: merging histograms sampled
-     * over different ranges would silently misbin. */
-    void merge(const Histogram &other);
 
   private:
     double _max;

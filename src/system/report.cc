@@ -10,71 +10,6 @@
 namespace mellowsim
 {
 
-void
-SimReport::merge(const SimReport &other)
-{
-    panic_if(workload != other.workload || policy != other.policy,
-             "merging reports from different runs: %s/%s vs %s/%s",
-             workload.c_str(), policy.c_str(), other.workload.c_str(),
-             other.policy.c_str());
-
-    // A merged run ended badly if any shard did.
-    if (other.status == ReportStatus::CapacityExhausted)
-        status = ReportStatus::CapacityExhausted;
-
-    instructions += other.instructions;
-    simTicks = std::max(simTicks, other.simTicks);
-
-    llcDemandReads += other.llcDemandReads;
-    llcDemandWrites += other.llcDemandWrites;
-    llcMisses += other.llcMisses;
-    writebacksToMem += other.writebacksToMem;
-    eagerSent += other.eagerSent;
-    eagerWasted += other.eagerWasted;
-
-    memReads += other.memReads;
-    forwardedReads += other.forwardedReads;
-    issuedNormalWrites += other.issuedNormalWrites;
-    issuedSlowWrites += other.issuedSlowWrites;
-    issuedEagerNormal += other.issuedEagerNormal;
-    issuedEagerSlow += other.issuedEagerSlow;
-    cancelledWrites += other.cancelledWrites;
-    pausedWrites += other.pausedWrites;
-    drainEntries += other.drainEntries;
-
-    readEnergyPj += other.readEnergyPj;
-    writeEnergyPj += other.writeEnergyPj;
-    totalEnergyPj += other.totalEnergyPj;
-
-    quotaPeriods += other.quotaPeriods;
-    quotaSlowOnlyPeriods += other.quotaSlowOnlyPeriods;
-
-    writeRetries += other.writeRetries;
-    transientWriteFailures += other.transientWriteFailures;
-    permanentFaults += other.permanentFaults;
-    faultRepairsUsed += other.faultRepairsUsed;
-    retiredLines += other.retiredLines;
-    deadLines += other.deadLines;
-
-    // "Earliest nonzero": zero means the shard never saw one.
-    if (firstFaultTick == 0 ||
-        (other.firstFaultTick != 0 &&
-         other.firstFaultTick < firstFaultTick)) {
-        firstFaultTick = other.firstFaultTick;
-    }
-    if (firstUncorrectableTick == 0 ||
-        (other.firstUncorrectableTick != 0 &&
-         other.firstUncorrectableTick < firstUncorrectableTick)) {
-        firstUncorrectableTick = other.firstUncorrectableTick;
-    }
-
-    effectiveCapacityFraction =
-        std::min(effectiveCapacityFraction,
-                 other.effectiveCapacityFraction);
-    capacityFloorReached =
-        capacityFloorReached || other.capacityFloorReached;
-}
-
 namespace
 {
 

@@ -1,5 +1,6 @@
 #include "system/runner.hh"
 
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,10 +23,14 @@ envInstrs(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
+    // strtoull wraps "-1" to 2^64 - 1 and saturates on overflow;
+    // reject both rather than run for ~forever.
     char *end = nullptr;
+    errno = 0;
     unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0',
+    fatal_if(end == v || *end != '\0' || std::strchr(v, '-') != nullptr,
              "%s must be a positive integer (got '%s')", name, v);
+    fatal_if(errno == ERANGE, "%s is out of range (got '%s')", name, v);
     fatal_if(parsed == 0, "%s must be positive", name);
     return parsed;
 }
@@ -81,30 +86,6 @@ deviceOverrideSlot()
     return slot;
 }
 
-/** Process-wide shard selection; -1 = unset (fall back to the
- * MELLOWSIM_SHARDS environment variable). Same confinement story as
- * deviceOverrideSlot. */
-int &
-shardOverrideSlot()
-{
-    // mlint: allow(confinement-global): written only by
-    // setShardOverride during argv/env processing, strictly before
-    // any ThreadGroup worker exists; read on the main thread by
-    // makeConfig. No concurrent access is possible.
-    static int slot = -1;
-    return slot;
-}
-
-unsigned
-parseShardCount(const char *text, const char *what)
-{
-    char *end = nullptr;
-    unsigned long parsed = std::strtoul(text, &end, 10);
-    fatal_if(end == text || *end != '\0',
-             "%s must be a non-negative integer (got '%s')", what, text);
-    return static_cast<unsigned>(parsed);
-}
-
 } // namespace
 
 void
@@ -143,52 +124,6 @@ applyDeviceArgs(int &argc, char **argv)
     argc = out;
 }
 
-void
-setShardOverride(unsigned shards)
-{
-    shardOverrideSlot() = static_cast<int>(shards);
-}
-
-void
-clearShardOverride()
-{
-    shardOverrideSlot() = -1;
-}
-
-unsigned
-activeShards()
-{
-    if (shardOverrideSlot() >= 0)
-        return static_cast<unsigned>(shardOverrideSlot());
-    const char *env = std::getenv("MELLOWSIM_SHARDS");
-    if (env == nullptr || *env == '\0')
-        return 0;
-    return parseShardCount(env, "MELLOWSIM_SHARDS");
-}
-
-void
-applyShardSelection(SystemConfig &cfg)
-{
-    cfg.shards = activeShards();
-}
-
-void
-applyShardArgs(int &argc, char **argv)
-{
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--shards") == 0) {
-            fatal_if(i + 1 >= argc, "--shards requires a value");
-            setShardOverride(parseShardCount(argv[++i], "--shards"));
-        } else if (std::strncmp(argv[i], "--shards=", 9) == 0) {
-            setShardOverride(parseShardCount(argv[i] + 9, "--shards"));
-        } else {
-            argv[out++] = argv[i];
-        }
-    }
-    argc = out;
-}
-
 SystemConfig
 makeConfig(const std::string &workload, const WritePolicyConfig &policy)
 {
@@ -199,7 +134,6 @@ makeConfig(const std::string &workload, const WritePolicyConfig &policy)
     cfg.warmupInstructions =
         envInstrs("MELLOWSIM_WARMUP", cfg.warmupInstructions);
     applyDeviceSelection(cfg);
-    applyShardSelection(cfg);
     return cfg;
 }
 

@@ -73,40 +73,6 @@ void applyDeviceSelection(SystemConfig &cfg);
  */
 void applyDeviceArgs(int &argc, char **argv);
 
-/**
- * Select the shard count bound by every subsequent makeConfig():
- * SystemConfig::shards is set to @p shards (0 = monolithic, N >= 1 =
- * sharded on N workers; see system/sharded.hh). Takes precedence over
- * the MELLOWSIM_SHARDS environment variable; clearShardOverride()
- * restores env/default behaviour. Call before starting a sweep, not
- * concurrently with one.
- */
-void setShardOverride(unsigned shards);
-void clearShardOverride();
-
-/**
- * The shard count makeConfig() is currently honouring (override, else
- * MELLOWSIM_SHARDS, else 0 = the monolithic path).
- */
-unsigned activeShards();
-
-/**
- * Bind the active shard selection into an already-built configuration
- * (no-op when neither the override nor MELLOWSIM_SHARDS is set).
- * makeConfig() calls this automatically.
- */
-void applyShardSelection(SystemConfig &cfg);
-
-/**
- * Consume the shared shard flag from a command line, compacting argv
- * so positional arguments keep their place:
- *
- *   --shards <n> | --shards=<n>    setShardOverride(n)
- *
- * Unrecognised arguments are left for the caller.
- */
-void applyShardArgs(int &argc, char **argv);
-
 /** Run one (workload, policy) pair with the default configuration. */
 SimReport runOne(const std::string &workload,
                  const WritePolicyConfig &policy);

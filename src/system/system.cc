@@ -5,7 +5,6 @@
 #include "check/install.hh"
 #include "check/registry.hh"
 #include "sim/logging.hh"
-#include "system/sharded.hh"
 
 namespace mellowsim
 {
@@ -202,8 +201,6 @@ System::run()
 SimReport
 runSystem(const SystemConfig &config)
 {
-    if (config.shards >= 1)
-        return runShardedSystem(config);
     System sys(config);
     return sys.run();
 }

@@ -61,20 +61,6 @@ struct SystemConfig
     /** Memory channels; 1 matches the paper's evaluation. */
     unsigned numChannels = 1;
 
-    /**
-     * Shard-parallel execution (system/sharded.hh). 0 — the default —
-     * runs the classic monolithic System on one EventQueue. N >= 1
-     * partitions the model into a front-end task plus one task per
-     * channel and drives them with the conservative-lookahead epoch
-     * driver on N worker threads; 1 is the serial oracle, which must
-     * be byte-identical to every threaded run. The sharded model adds
-     * one lookahead of cross-shard request latency, so its reports are
-     * compared sharded-vs-sharded, never sharded-vs-monolithic.
-     * Invariant checking (`checks`) only exists on the monolithic
-     * path.
-     */
-    unsigned shards = 0;
-
     /** Hard wall on simulated time (safety against pathology). */
     // mlint: allow(timing-literal): simulation safety wall, not a
     // device timing

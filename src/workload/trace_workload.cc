@@ -1,6 +1,7 @@
 #include "workload/trace_workload.hh"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -79,9 +80,14 @@ TraceWorkload::TraceWorkload(const std::string &path)
                   kind.c_str());
         }
 
+        // strtoull wraps "-1" to 2^64 - 1 and saturates on overflow;
+        // both are bad input, not addresses.
         char *end = nullptr;
+        errno = 0;
         op.addr = std::strtoull(addr_text.c_str(), &end, 16);
-        fatal_if(end == addr_text.c_str() || *end != '\0',
+        fatal_if(end == addr_text.c_str() || *end != '\0' ||
+                     addr_text.find('-') != std::string::npos ||
+                     errno == ERANGE,
                  "trace '%s' line %llu: bad address '%s'", path.c_str(),
                  static_cast<unsigned long long>(line_no),
                  addr_text.c_str());

@@ -1,8 +1,6 @@
 // Fixture seam header: the blessed cache -> memory-system port
 // (mirrors src/nvm/memory_port.hh; analyzed textually, never
-// compiled). Consumers may use the MemoryPort vocabulary only;
-// ChannelInternals is exposed here for the controller's own wiring
-// and is declared internal in the fixture confinement.toml.
+// compiled).
 #pragma once
 
 #include "nvm/queues.hh"
@@ -13,11 +11,4 @@ class MemoryPort
     virtual ~MemoryPort() = default;
     virtual bool writeback(MemRequest req) = 0;
     virtual bool eagerQueueHasSpace() const = 0;
-};
-
-class ChannelInternals
-{
-  public:
-    RequestQueue &writeQueue();
-    void drainNow();
 };

@@ -6,7 +6,7 @@
 
 using namespace mellowsim;
 
-class Shard
+class Tally
 {
   public:
     void
@@ -25,7 +25,7 @@ class Shard
 int
 main()
 {
-    Shard s;
+    Tally s;
     s.pump();
     return 0;
 }

@@ -1,7 +1,8 @@
 // mellow_lint fixture: every raw counting/rendezvous primitive below
 // must trip raw-sync-primitive (the registered ctest is WILL_FAIL).
-// Epoch rendezvous goes through sync::Barrier; ad-hoc semaphores and
-// latches have no capability annotations and no analyzer vocabulary.
+// Workers are joined through sync::ThreadGroup; ad-hoc semaphores,
+// latches and barriers have no capability annotations and no analyzer
+// vocabulary.
 #include <barrier>
 #include <latch>
 #include <semaphore>

@@ -18,7 +18,9 @@ touchTable()
 }
 
 void
-epochRendezvous(mellowsim::sync::Barrier &barrier)
+drainWorkers(mellowsim::sync::ThreadGroup &workers,
+             mellowsim::sync::TicketCounter &next)
 {
-    barrier.arriveAndWait();
+    (void)next.take();
+    workers.joinAll();
 }

@@ -134,8 +134,9 @@ TEST(AddressSpaces, FaultRemapStaysInjectiveWithRetiredLines)
         bool is_victim = false;
         for (std::uint64_t v : victims)
             is_victim = is_victim || v == l;
-        if (!is_victim)
+        if (!is_victim) {
             EXPECT_EQ(d.value(), l) << "healthy line moved";
+        }
     }
     EXPECT_EQ(targets.size(), kLines);
 

@@ -163,7 +163,7 @@ TEST(Cache, SetAccessorExposesRecencyOrder)
     EXPECT_EQ(set.size(), 4u);
     EXPECT_EQ(set[0].blockAddr, addrFor(0, 4)); // MRU: last insert
     EXPECT_EQ(set[3].blockAddr, addrFor(0, 1)); // LRU: first insert
-    EXPECT_THROW(c.set(2), PanicError);
+    EXPECT_THROW((void)c.set(2), PanicError);
 }
 
 TEST(Cache, RejectsBadGeometry)

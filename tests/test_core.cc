@@ -109,7 +109,7 @@ TEST(Core, IpcRequiresFinishedRun)
 {
     std::deque<Op> ops;
     Fixture f(std::move(ops));
-    EXPECT_THROW(f.core.ipc(), PanicError);
+    EXPECT_THROW((void)f.core.ipc(), PanicError);
 }
 
 TEST(Core, MemoryMissesReduceIpc)

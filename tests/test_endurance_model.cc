@@ -97,7 +97,7 @@ TEST(EnduranceModel, NonPositiveFactorsAreUnrepresentable)
     EnduranceModel m;
     EXPECT_DOUBLE_EQ(m.enduranceAtFactor(PulseFactor(0.0)), 5.0e6);
     EXPECT_DOUBLE_EQ(m.enduranceAtFactor(PulseFactor(-2.0)), 5.0e6);
-    EXPECT_THROW(m.enduranceAt(0), FatalError);
+    EXPECT_THROW((void)m.enduranceAt(0), FatalError);
 }
 
 /** Parameterised sweep over the Figure 1 Expo_Factor family. */

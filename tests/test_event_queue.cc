@@ -231,7 +231,7 @@ TEST(EventQueue, SlotReuseUnderChurnKeepsHandlesDistinct)
     std::vector<EventHandle> dead;
     for (int round = 0; round < 2000; ++round) {
         EventHandle cancelled = eq.schedule(10 + round, [] {});
-        EventHandle kept = eq.schedule(10 + round, [&] { ++fired; });
+        eq.schedule(10 + round, [&] { ++fired; });
         EXPECT_TRUE(eq.deschedule(cancelled));
         dead.push_back(cancelled);
     }

@@ -101,8 +101,9 @@ TEST(FaultSystem, SlowWritesDelayFirstUncorrectableError)
         EXPECT_LE(slow_r.deadLines, 0u);
     }
     // The analytic first-fault metric orders the same way.
-    if (slow_r.firstFaultTick != 0)
+    if (slow_r.firstFaultTick != 0) {
         EXPECT_GT(slow_r.firstFaultTick, norm_r.firstFaultTick);
+    }
 }
 
 TEST(FaultSystem, MellowPolicyAlsoDelaysFirstUncorrectableError)

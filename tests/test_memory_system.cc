@@ -122,7 +122,7 @@ TEST(MemorySystem, RejectsBadConfig)
     EXPECT_THROW(MemorySystem(eq, c), FatalError);
     c = config(3); // 4 MB does not divide by 3
     EXPECT_THROW(MemorySystem(eq, c), FatalError);
-    EXPECT_THROW(MemorySystem(eq, config(2)).channel(ChannelId(2)),
+    EXPECT_THROW((void)MemorySystem(eq, config(2)).channel(ChannelId(2)),
                  PanicError);
 }
 

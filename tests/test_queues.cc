@@ -105,14 +105,14 @@ TEST(RequestQueue, PopEmptyBankPanics)
 {
     RequestQueue q(2, 4);
     EXPECT_THROW(q.pop(BankId(0)), PanicError);
-    EXPECT_THROW(q.front(BankId(1)), PanicError);
+    EXPECT_THROW((void)q.front(BankId(1)), PanicError);
 }
 
 TEST(RequestQueue, BankRangeChecked)
 {
     RequestQueue q(2, 4);
     EXPECT_THROW(q.push(makeReq(2, 0x0)), PanicError);
-    EXPECT_THROW(q.countForBank(BankId(5)), PanicError);
+    EXPECT_THROW((void)q.countForBank(BankId(5)), PanicError);
 }
 
 TEST(RequestQueue, RejectsDegenerateConstruction)

@@ -141,7 +141,7 @@ TEST(SecurityRefresh, RejectsBadGeometry)
 TEST(SecurityRefresh, RemapRejectsOutOfRange)
 {
     SecurityRefresh sr(16, 1);
-    EXPECT_THROW(sr.remap(16), PanicError);
+    EXPECT_THROW((void)sr.remap(16), PanicError);
 }
 
 TEST(WearLeveler, KindNames)

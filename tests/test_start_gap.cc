@@ -41,7 +41,7 @@ TEST(StartGap, InitialMappingIsIdentity)
 TEST(StartGap, RemapRejectsOutOfRange)
 {
     StartGap sg(8);
-    EXPECT_THROW(sg.remap(8), PanicError);
+    EXPECT_THROW((void)sg.remap(8), PanicError);
 }
 
 TEST(StartGap, GapMovesEveryPeriodWrites)

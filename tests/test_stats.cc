@@ -34,51 +34,6 @@ TEST(Average, MeanMinMax)
     EXPECT_DOUBLE_EQ(a.sum(), 9.0);
 }
 
-TEST(Counter, MergeFoldsShardTallies)
-{
-    Counter a;
-    Counter b;
-    a += 5;
-    b += 7;
-    a.merge(b);
-    EXPECT_EQ(a.value(), 12u);
-    EXPECT_EQ(b.value(), 7u);
-    a.merge(Counter{});
-    EXPECT_EQ(a.value(), 12u);
-}
-
-TEST(Average, MergeEqualsConcatenatedStreams)
-{
-    Average a;
-    a.sample(1.0);
-    a.sample(3.0);
-    Average b;
-    b.sample(8.0);
-    a.merge(b);
-    EXPECT_EQ(a.count(), 3u);
-    EXPECT_DOUBLE_EQ(a.sum(), 12.0);
-    EXPECT_DOUBLE_EQ(a.mean(), 4.0);
-    EXPECT_DOUBLE_EQ(a.min(), 1.0);
-    EXPECT_DOUBLE_EQ(a.max(), 8.0);
-}
-
-TEST(Average, MergeEmptyIsIdentity)
-{
-    Average a;
-    a.sample(2.0);
-    a.merge(Average{});
-    EXPECT_EQ(a.count(), 1u);
-    EXPECT_DOUBLE_EQ(a.min(), 2.0);
-    EXPECT_DOUBLE_EQ(a.max(), 2.0);
-
-    // And merging into an empty one adopts the other's min/max.
-    Average empty;
-    empty.merge(a);
-    EXPECT_EQ(empty.count(), 1u);
-    EXPECT_DOUBLE_EQ(empty.min(), 2.0);
-    EXPECT_DOUBLE_EQ(empty.max(), 2.0);
-}
-
 TEST(Average, ResetClearsEverything)
 {
     Average a;
@@ -155,28 +110,6 @@ TEST(Histogram, BucketsSamples)
     EXPECT_EQ(h.buckets()[4], 2u);
 }
 
-TEST(Histogram, MergeAddsBucketwise)
-{
-    Histogram a(10.0, 5);
-    Histogram b(10.0, 5);
-    a.sample(0.5);
-    b.sample(0.5);
-    b.sample(9.9);
-    a.merge(b);
-    EXPECT_EQ(a.total(), 3u);
-    EXPECT_EQ(a.buckets()[0], 2u);
-    EXPECT_EQ(a.buckets()[4], 1u);
-}
-
-TEST(Histogram, MergeRejectsShapeMismatch)
-{
-    Histogram a(10.0, 5);
-    Histogram fewer_buckets(10.0, 4);
-    Histogram different_range(20.0, 5);
-    EXPECT_THROW(a.merge(fewer_buckets), PanicError);
-    EXPECT_THROW(a.merge(different_range), PanicError);
-}
-
 TEST(GeoMean, KnownValues)
 {
     EXPECT_DOUBLE_EQ(geoMean({4.0, 9.0}), 6.0);
@@ -188,93 +121,4 @@ TEST(GeoMean, RejectsNonPositive)
 {
     EXPECT_THROW(geoMean({1.0, 0.0}), PanicError);
     EXPECT_THROW(geoMean({1.0, -2.0}), PanicError);
-}
-
-// --- Concurrent shard-merge property -------------------------------
-
-#include <algorithm>
-#include <cstddef>
-#include <set>
-#include <vector>
-
-#include "sim/rng.hh"
-#include "sim/sync.hh"
-
-namespace
-{
-
-struct ShardTallies
-{
-    Counter events;
-    Average values{};
-    Histogram spread{1000.0, 16};
-};
-
-} // namespace
-
-/**
- * Merging per-shard tallies folded by worker threads over randomized
- * contiguous splits must be bit-identical to a serial fold over the
- * whole sample stream. Samples are integer-valued, so double sums are
- * exact and "bit-identical" is meaningful, not a tolerance check.
- */
-TEST(StatsMergeProperty, RandomShardSplitsMatchSerialFold)
-{
-    constexpr std::size_t kSamples = 10000;
-
-    for (std::uint64_t seed : {3ull, 99ull, 123456789ull}) {
-        Rng rng(seed);
-        std::vector<double> samples;
-        samples.reserve(kSamples);
-        for (std::size_t i = 0; i < kSamples; ++i)
-            samples.push_back(static_cast<double>(rng.nextBounded(1000)));
-
-        // Serial oracle over the whole stream.
-        ShardTallies serial;
-        for (double v : samples) {
-            ++serial.events;
-            serial.values.sample(v);
-            serial.spread.sample(v);
-        }
-
-        // Random contiguous split into 1..8 shards.
-        std::size_t shards = rng.nextBounded(8) + 1;
-        std::set<std::size_t> cuts{0, kSamples};
-        while (cuts.size() < shards + 1)
-            cuts.insert(rng.nextBounded(kSamples));
-        std::vector<std::size_t> bounds(cuts.begin(), cuts.end());
-
-        std::vector<ShardTallies> partial(bounds.size() - 1);
-        {
-            sync::ThreadGroup workers;
-            for (std::size_t s = 0; s + 1 < bounds.size(); ++s) {
-                workers.spawn([&, s] {
-                    for (std::size_t i = bounds[s]; i < bounds[s + 1];
-                         ++i) {
-                        ++partial[s].events;
-                        partial[s].values.sample(samples[i]);
-                        partial[s].spread.sample(samples[i]);
-                    }
-                });
-            }
-            workers.joinAll();
-        }
-
-        // Fold in shard order on the coordinating thread.
-        ShardTallies merged;
-        for (const ShardTallies &p : partial) {
-            merged.events.merge(p.events);
-            merged.values.merge(p.values);
-            merged.spread.merge(p.spread);
-        }
-
-        EXPECT_EQ(merged.events.value(), serial.events.value());
-        EXPECT_EQ(merged.values.count(), serial.values.count());
-        EXPECT_EQ(merged.values.sum(), serial.values.sum());
-        EXPECT_EQ(merged.values.min(), serial.values.min());
-        EXPECT_EQ(merged.values.max(), serial.values.max());
-        EXPECT_EQ(merged.values.mean(), serial.values.mean());
-        EXPECT_EQ(merged.spread.total(), serial.spread.total());
-        EXPECT_EQ(merged.spread.buckets(), serial.spread.buckets());
-    }
 }

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <optional>
+#include <string>
 
 #include "sim/logging.hh"
 #include "system/report.hh"
@@ -178,6 +181,56 @@ TEST(System, UnknownWorkloadIsFatal)
 {
     SystemConfig cfg = quickConfig("doom", norm());
     EXPECT_THROW(System{cfg}, FatalError);
+}
+
+namespace
+{
+
+/** Sets an environment variable for one scope, then restores it. */
+class ScopedEnv
+{
+  public:
+    ScopedEnv(const char *name, const char *value) : _name(name)
+    {
+        if (const char *old = std::getenv(name))
+            _old = old;
+        setenv(name, value, 1);
+    }
+    ~ScopedEnv()
+    {
+        if (_old)
+            setenv(_name, _old->c_str(), 1);
+        else
+            unsetenv(_name);
+    }
+
+  private:
+    const char *_name;
+    std::optional<std::string> _old;
+};
+
+} // namespace
+
+TEST(System, RunnerRejectsNegativeAndOverflowingCounts)
+{
+    // strtoull would wrap "-1" to 2^64 - 1 instructions and saturate
+    // on overflow; both must be configuration errors.
+    for (const char *bad : {"-1", " -5", "99999999999999999999999"}) {
+        {
+            ScopedEnv env("MELLOWSIM_INSTRS", bad);
+            EXPECT_THROW(makeConfig("gups", norm()), FatalError) << bad;
+        }
+        {
+            ScopedEnv env("MELLOWSIM_WARMUP", bad);
+            EXPECT_THROW(makeConfig("gups", norm()), FatalError) << bad;
+        }
+        {
+            ScopedEnv env("MELLOWSIM_JOBS", bad);
+            EXPECT_THROW(runConfigs({}), FatalError) << bad;
+        }
+    }
+    ScopedEnv env("MELLOWSIM_INSTRS", "12345");
+    EXPECT_EQ(makeConfig("gups", norm()).instructions, 12345u);
 }
 
 TEST(System, RunnerGridAndLookups)

@@ -113,6 +113,20 @@ TEST(TraceWorkload, MalformedLinesAreFatal)
     }
 }
 
+TEST(TraceWorkload, NegativeAndOverflowingAddressesAreFatal)
+{
+    // strtoull would wrap "-1" to 2^64 - 1 and saturate on overflow.
+    for (const char *text : {"1 R -1\n", "1 R -0x40\n",
+                             "1 W 0x10000000000000000\n"}) {
+        TempFile f(text);
+        EXPECT_THROW(TraceWorkload{f.path()}, FatalError) << text;
+    }
+    // The largest address that fits is still accepted.
+    TempFile f("1 R 0xffffffffffffffff\n");
+    TraceWorkload trace(f.path());
+    EXPECT_EQ(trace.next().addr, 0xffffffffffffffffull);
+}
+
 TEST(TraceWorkload, RoundTripsASyntheticWorkload)
 {
     WorkloadPtr source = makeWorkload("gups", 21);

@@ -111,10 +111,10 @@ TEST(WearQuota, BankIndexValidation)
 {
     WearQuota q(config(), 2);
     EXPECT_THROW(q.recordWear(BankId(2), 1.0), PanicError);
-    EXPECT_THROW(q.slowOnly(BankId(5)), PanicError);
-    EXPECT_THROW(q.exceedQuota(BankId(5)), PanicError);
-    EXPECT_THROW(q.bankWear(BankId(5)), PanicError);
-    EXPECT_THROW(q.slowOnlyPeriods(BankId(5)), PanicError);
+    EXPECT_THROW((void)q.slowOnly(BankId(5)), PanicError);
+    EXPECT_THROW((void)q.exceedQuota(BankId(5)), PanicError);
+    EXPECT_THROW((void)q.bankWear(BankId(5)), PanicError);
+    EXPECT_THROW((void)q.slowOnlyPeriods(BankId(5)), PanicError);
 }
 
 TEST(WearQuota, RejectsBadConfig)

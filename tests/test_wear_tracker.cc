@@ -181,9 +181,9 @@ TEST(WearTracker, DetailedAccessorsRequireDetailedMode)
 {
     EnduranceModel model;
     WearTracker t(smallConfig(false), model);
-    EXPECT_THROW(t.maxBlockWear(BankId(0)), PanicError);
-    EXPECT_THROW(t.meanBlockWear(BankId(0)), PanicError);
-    EXPECT_THROW(t.leveler(BankId(0)), PanicError);
+    EXPECT_THROW((void)t.maxBlockWear(BankId(0)), PanicError);
+    EXPECT_THROW((void)t.meanBlockWear(BankId(0)), PanicError);
+    EXPECT_THROW((void)t.leveler(BankId(0)), PanicError);
 }
 
 TEST(WearTracker, BankIndexValidation)
@@ -192,7 +192,7 @@ TEST(WearTracker, BankIndexValidation)
     WearTracker t(smallConfig(), model);
     EXPECT_THROW(t.recordWrite(BankId(2), DeviceAddr(0), kNorm, false),
                  PanicError);
-    EXPECT_THROW(t.bankStats(BankId(9)), PanicError);
+    EXPECT_THROW((void)t.bankStats(BankId(9)), PanicError);
 }
 
 TEST(WearTracker, RejectsBadConfig)

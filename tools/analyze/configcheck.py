@@ -67,7 +67,6 @@ RULE_GEOMETRY = "geometry-arithmetic"
 RULE_ENERGY = "energy-model"
 RULE_CONTROLLER = "controller-sanity"
 RULE_PULSE = "pulse-monotonicity"
-RULE_LOOKAHEAD = "lookahead"
 
 ALL_RULES = (
     RULE_PARSE,
@@ -80,7 +79,6 @@ ALL_RULES = (
     RULE_ENERGY,
     RULE_CONTROLLER,
     RULE_PULSE,
-    RULE_LOOKAHEAD,
 )
 
 RULE_DESCRIPTIONS = {
@@ -114,11 +112,6 @@ RULE_DESCRIPTIONS = {
         "Equation 2 monotonicity: slowing the pulse must strictly "
         "lengthen it (no Tick saturation) and strictly gain "
         "endurance (ExpoFactor > 0).",
-    RULE_LOOKAHEAD:
-        "Sharded-runtime soundness: the conservative lookahead the "
-        "epoch driver derives from this device, min(tBurst, "
-        "tRCD + tCAS), must span at least one controller clock "
-        "(tCK) — see system/sharded.hh channelLookahead().",
 }
 
 EXPECT_RE = re.compile(r"configcheck-expect:\s*([a-z-]+|none)")

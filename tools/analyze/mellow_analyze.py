@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """mellow-analyze — semantic static analysis for mellowsim.
 
-Eleven rule families the regex lint (tools/mellow_lint.py) cannot
+Eight rules the regex lint (tools/mellow_lint.py) cannot
 express:
 
   value-escape      .value() on a strong type outside whitelisted
@@ -12,22 +12,15 @@ express:
                     reachable from an EventQueue::schedule callback
   request-lifetime  a MemRequest read after std::move() into a queue
 
-plus the shard-confinement family driven by
-tools/analyze/confinement.toml (the concurrency model of DESIGN.md
-§11, which the sharded per-channel runtime of system/sharded.cc is
-written against — DESIGN.md §15):
+plus the confinement rule driven by tools/analyze/confinement.toml
+(the concurrency model of DESIGN.md §11: each System is confined to
+one sweep worker):
 
   confinement-global  mutable static/namespace-scope state that is not
                       atomic, a sync.hh type, thread_local or const
-  confinement-shard   a declared mutator of shard-owned state called
-                      from a module outside the declared owners
-  confinement-port    a shard's internal types referenced from a
-                      consumer module instead of going through the
-                      declared message-port seam headers
 
 and the parallel-protocol family driven by
-tools/analyze/protocol.toml (the sharded-kernel communication
-contract of DESIGN.md §13):
+tools/analyze/protocol.toml:
 
   lock-order        a cycle in the whole-program lock-acquisition
                     graph built from LockGuard / MELLOW_REQUIRES
@@ -35,11 +28,8 @@ contract of DESIGN.md §13):
   atomic-order      raw std::atomic / std::memory_order spellings
                     outside src/sim/sync.hh, or a RelaxedCounter
                     read feeding control flow instead of stats
-  handler-blocking  a mutex acquisition or blocking rendezvous
-                    reachable from an EventQueue::schedule handler
-  port-protocol     a ShardPort send whose time argument is not a
-                    SendTime minted via `now + Lookahead`, or a
-                    SendTime constructed outside the mint
+  handler-blocking  a mutex acquisition or blocking call reachable
+                    from an EventQueue::schedule handler
 
 Findings honour the shared `// mlint: allow(<rule>): <reason>`
 suppression syntax (tools/analyze/suppress.py).

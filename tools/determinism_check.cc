@@ -16,6 +16,7 @@
  *   determinism_check [workload] [policy] [instructions] [warmup]
  *                     [seed] [runs] [faults(0|1)] [leveler]
  *   determinism_check --threads N [instructions] [warmup]
+ *   determinism_check --golden <file|->
  *
  * The optional [leveler] argument (start-gap, security-refresh,
  * soft-wear, wolfram, none) selects the wear-leveling backend and
@@ -23,25 +24,25 @@
  * the --threads sweep grid includes SoftWear and WoLFRaM entries of
  * its own.
  *
- * The --threads mode is the parallel-readiness gate: it first runs
- * the sharded-System gate — ONE 16-channel simulation partitioned
- * across ChannelShard tasks (system/sharded.hh), run with the serial
- * oracle (shards=1) and with threaded epochs, normal and
- * fault-injected, whose report fingerprints must be byte-identical
- * (the DESIGN.md §15 determinism contract; the toy ShardPort ring
- * that used to gate here lives on as tests/test_shard_port.cc's unit
- * test of the seam itself) — then builds a (workload x policy x seed)
- * sweep grid — fault injection layered on alternate entries so the
- * fault RNG is contended too — runs it once serially as the
- * reference, then again across N worker threads via
+ * The --threads mode is the sweep-parallelism gate: it builds a
+ * (workload x policy x seed) sweep grid — fault injection layered on
+ * alternate entries so the fault RNG is contended too — runs it once
+ * serially as the reference, then again across N worker threads via
  * runConfigs(configs, N), and byte-compares every report fingerprint.
  * Any cross-thread state leak (a shared RNG, an unsynchronized global
  * tally, allocator-order dependence) shows up as a diff between the
  * serial and threaded sweeps.
  *
- * With MELLOWSIM_FP_DUMP=<path> the reference fingerprint is also
- * written to <path>, so two *builds* (e.g. before and after a kernel
- * rework) can be byte-compared, not just two runs of one build.
+ * The --golden mode pins behaviour across *builds*, not just across
+ * runs of one build: it runs a fixed matrix (every generator under
+ * Norm and BE-Mellow+SC+WQ, plus one fault-injection run, one SoftWear
+ * run, one WoLFRaM run and one 4-channel run, each 500K instructions
+ * after a 50K warm-up) and byte-compares the concatenated fingerprints
+ * against a committed file (tests/golden/fingerprints.txt). With "-"
+ * as the file the matrix is written to stdout instead, which is how
+ * the file is regenerated:
+ *
+ *   determinism_check --golden - > tests/golden/fingerprints.txt
  *
  * Defaults exercise a representative configuration: the stream
  * workload under BE-Mellow+SC+WQ (eager queue, cancellation and Wear
@@ -56,6 +57,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -66,6 +68,7 @@
 #include "system/report.hh"
 #include "system/runner.hh"
 #include "system/system.hh"
+#include "workload/workload.hh"
 
 namespace
 {
@@ -208,72 +211,7 @@ layerLeveler(SystemConfig &cfg, WearLevelerKind kind)
 }
 
 /**
- * A 16-channel configuration for the sharded-System gate, scaled down
- * so the audit stays cheap: 1 GB total capacity (64 MB per channel)
- * and small caches so write-backs genuinely reach all 16 channels
- * inside a short run.
- */
-SystemConfig
-shardedGateConfig(std::uint64_t seed, bool faults,
-                  std::uint64_t instructions, std::uint64_t warmup)
-{
-    SystemConfig cfg;
-    cfg.workloadName = "gups"; // random traffic hits every channel
-    cfg.policy = policies::fromName("BE-Mellow+SC+WQ");
-    cfg.instructions = instructions;
-    cfg.warmupInstructions = warmup;
-    cfg.seed = seed;
-    cfg.numChannels = 16;
-    cfg.memory.geometry.capacityBytes = 1ull << 30;
-    cfg.hierarchy.l1.sizeBytes = 4 * 1024;
-    cfg.hierarchy.l2.sizeBytes = 8 * 1024;
-    cfg.hierarchy.llc.cache.sizeBytes = 16 * 1024;
-    if (faults)
-        layerFaults(cfg);
-    return cfg;
-}
-
-/**
- * Sharded-System gate: run the real model — front-end plus 16
- * ChannelShard tasks — under the serial oracle (shards=1) and under
- * threaded epochs, normal and fault-injected, and require
- * byte-identical report fingerprints (the DESIGN.md §15 contract any
- * parallel work must keep).
- */
-int
-runShardedGate(unsigned jobs, std::uint64_t instructions,
-               std::uint64_t warmup)
-{
-    // With one worker requested the "threaded" run would be the
-    // oracle again; always exercise the threaded epoch driver.
-    unsigned threaded_jobs = jobs < 2 ? 2 : jobs;
-    bool ok = true;
-    for (bool faults : {false, true}) {
-        SystemConfig cfg = shardedGateConfig(faults ? 7 : 1, faults,
-                                             instructions, warmup);
-        cfg.shards = 1;
-        std::string oracle = reportFingerprint(runSystem(cfg));
-        cfg.shards = threaded_jobs;
-        std::string threaded = reportFingerprint(runSystem(cfg));
-        if (oracle != threaded) {
-            ok = false;
-            std::fprintf(stderr,
-                         "FAIL: sharded 16-channel system (faults=%d) "
-                         "diverged between the serial oracle and "
-                         "threaded epochs (%u jobs)\n",
-                         faults ? 1 : 0, threaded_jobs);
-            reportFirstDiff(oracle, threaded);
-        }
-    }
-    if (ok)
-        std::printf("OK: sharded 16-channel system byte-identical "
-                    "between serial oracle and threaded epochs "
-                    "(%u jobs, normal + faults)\n", threaded_jobs);
-    return ok ? 0 : 1;
-}
-
-/**
- * Parallel-readiness gate (--threads N): run a sweep grid serially,
+ * Sweep-parallelism gate (--threads N): run a sweep grid serially,
  * then across N contended worker threads, and require byte-identical
  * report fingerprints slot by slot.
  */
@@ -317,15 +255,6 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
         configs.push_back(std::move(cfg));
     }
 
-    // The sharded System first: a divergence here points at the epoch
-    // protocol or the cross-shard seam, which would also explain any
-    // sweep divergence below. Scaled to a fraction of the sweep's
-    // instruction budget — one sharded run covers 16 channels.
-    if (runShardedGate(jobs, std::max<std::uint64_t>(
-                                 instructions / 4, 50'000),
-                       warmup) != 0)
-        return 1;
-
     std::vector<SimReport> serial = runConfigs(configs, 1);
     std::vector<SimReport> threaded = runConfigs(configs, jobs);
 
@@ -353,12 +282,102 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
     return 0;
 }
 
+/**
+ * Golden gate (--golden FILE): run the fixed matrix described in the
+ * file comment and byte-compare its fingerprints against FILE, or
+ * write them to stdout when FILE is "-".
+ */
+int
+runGoldenMode(const std::string &path)
+{
+    auto base = [](const std::string &workload, const char *policy) {
+        SystemConfig cfg;
+        cfg.workloadName = workload;
+        cfg.policy = policies::fromName(policy);
+        cfg.instructions = 500'000;
+        cfg.warmupInstructions = 50'000;
+        return cfg;
+    };
+
+    std::vector<std::pair<std::string, SystemConfig>> matrix;
+    for (const std::string &w : workloadNames())
+        for (const char *p : {"Norm", "BE-Mellow+SC+WQ"})
+            matrix.emplace_back(w + " " + p, base(w, p));
+    {
+        SystemConfig cfg = base("stream", "BE-Mellow+SC+WQ");
+        layerFaults(cfg);
+        matrix.emplace_back("stream BE-Mellow+SC+WQ faults", cfg);
+    }
+    for (WearLevelerKind kind :
+         {WearLevelerKind::SoftWear, WearLevelerKind::WoLFRaM}) {
+        SystemConfig cfg = base("stream", "BE-Mellow+SC+WQ");
+        layerFaults(cfg);
+        layerLeveler(cfg, kind);
+        matrix.emplace_back(std::string("stream BE-Mellow+SC+WQ faults ") +
+                                wearLevelerKindName(kind),
+                            cfg);
+    }
+    {
+        // Random traffic with small caches, so write-backs reach every
+        // channel and the interleave decode is pinned too.
+        SystemConfig cfg = base("gups", "BE-Mellow+SC+WQ");
+        cfg.numChannels = 4;
+        cfg.memory.geometry.capacityBytes = 1ull << 30;
+        cfg.hierarchy.l1.sizeBytes = 4 * 1024;
+        cfg.hierarchy.l2.sizeBytes = 8 * 1024;
+        cfg.hierarchy.llc.cache.sizeBytes = 16 * 1024;
+        matrix.emplace_back("gups BE-Mellow+SC+WQ 4-channel", cfg);
+    }
+
+    std::string actual;
+    for (const auto &[label, cfg] : matrix) {
+        System sys(cfg);
+        SimReport r = sys.run();
+        actual += "== " + label + "\n" + fingerprint(sys, r);
+    }
+
+    if (path == "-") {
+        std::fwrite(actual.data(), 1, actual.size(), stdout);
+        return 0;
+    }
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        std::fprintf(stderr, "cannot read golden file %s\n",
+                     path.c_str());
+        return 2;
+    }
+    std::ostringstream golden;
+    golden << in.rdbuf();
+    if (golden.str() != actual) {
+        std::fprintf(stderr,
+                     "FAIL: fingerprints differ from %s; if the change "
+                     "is intended, regenerate it with --golden - and "
+                     "say why in CHANGES.md\n",
+                     path.c_str());
+        reportFirstDiff(golden.str(), actual);
+        return 1;
+    }
+    std::printf("OK: %zu golden configurations byte-identical to %s\n",
+                matrix.size(), path.c_str());
+    return 0;
+}
+
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace mellowsim;
+
+    if (argc > 1 && std::string(argv[1]) == "--golden") {
+        if (argc != 3) {
+            std::fprintf(stderr, "usage: %s --golden <file|->\n",
+                         argv[0]);
+            return 2;
+        }
+        Logger::setQuiet(true);
+        return runGoldenMode(argv[2]);
+    }
 
     if (argc > 1 && std::string(argv[1]) == "--threads") {
         if (argc < 3) {
@@ -439,17 +458,6 @@ main(int argc, char **argv)
 
         if (i == 0) {
             reference = std::move(dump);
-            if (const char *path = std::getenv("MELLOWSIM_FP_DUMP")) {
-                if (std::FILE *f = std::fopen(path, "w")) {
-                    std::fwrite(reference.data(), 1, reference.size(),
-                                f);
-                    std::fclose(f);
-                } else {
-                    std::fprintf(stderr,
-                                 "warning: cannot write fingerprint "
-                                 "to %s\n", path);
-                }
-            }
         } else if (dump != reference) {
             std::fprintf(stderr,
                          "FAIL: run %u of %s/%s (seed %" PRIu64

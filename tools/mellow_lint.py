@@ -285,7 +285,7 @@ class Linter:
                         f"{m.group(0)} outside sim/sync.hh; use the "
                         "capability-annotated wrappers (sync::Mutex, "
                         "sync::LockGuard, sync::ThreadGroup, "
-                        "sync::Barrier)",
+                        "sync::TicketCounter)",
                     )
 
             if (
