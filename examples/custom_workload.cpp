@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 
 #include "mellow/policy.hh"
 #include "system/report.hh"
@@ -89,7 +88,7 @@ main(int argc, char **argv)
 {
     applyDeviceArgs(argc, argv);
     std::uint64_t instrs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 12'000'000ull;
+        argc > 1 ? parseCount(argv[1], "instructions") : 12'000'000ull;
 
     std::printf("Custom workload: log-structured storage engine\n\n");
 
@@ -109,8 +108,8 @@ main(int argc, char **argv)
 
     std::printf("%s\n",
                 reportsToTable(reports, {"workload", "policy", "ipc",
-                                         "lifetime", "utilization",
-                                         "mpki"})
+                                         "lifetime_years",
+                                         "bank_utilization", "mpki"})
                     .c_str());
 
     const SimReport &n = reports[0];

@@ -16,7 +16,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -33,7 +32,7 @@ main(int argc, char **argv)
 {
     applyDeviceArgs(argc, argv);
     std::uint64_t instrs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4'000'000ull;
+        argc > 1 ? parseCount(argv[1], "instructions") : 4'000'000ull;
     if (instrs == 0) {
         std::fprintf(stderr, "usage: %s [instructions]\n", argv[0]);
         return 1;

@@ -71,7 +71,7 @@ main(int argc, char **argv)
 {
     applyDeviceArgs(argc, argv);
     std::uint64_t instrs =
-        argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 3'000'000ull;
+        argc > 1 ? parseCount(argv[1], "instructions") : 3'000'000ull;
     double scale = argc > 2 ? std::atof(argv[2]) : 2e-7;
     if (instrs == 0 || scale <= 0.0) {
         std::fprintf(stderr,

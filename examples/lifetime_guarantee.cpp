@@ -26,7 +26,7 @@ main(int argc, char **argv)
     applyDeviceArgs(argc, argv);
     double target = argc > 1 ? std::atof(argv[1]) : 8.0;
     std::uint64_t instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 16'000'000ull;
+        argc > 2 ? parseCount(argv[2], "instructions") : 16'000'000ull;
     if (target <= 0.0) {
         std::fprintf(stderr, "target years must be positive\n");
         return 1;
@@ -51,7 +51,8 @@ main(int argc, char **argv)
 
     std::printf("%s\n",
                 reportsToTable(reports, {"workload", "policy", "ipc",
-                                         "lifetime", "drain"})
+                                         "lifetime_years",
+                                         "drain_fraction"})
                     .c_str());
 
     int norm_ok = 0, mellow_ok = 0, quota_ok = 0;

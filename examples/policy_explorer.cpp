@@ -63,7 +63,7 @@ main(int argc, char **argv)
         } else if (arg == "--policies" && i + 1 < argc) {
             policy_names = splitCsv(argv[++i]);
         } else if (arg == "--instrs" && i + 1 < argc) {
-            instrs = std::strtoull(argv[++i], nullptr, 10);
+            instrs = parseCount(argv[++i], "--instrs");
         } else {
             std::fprintf(stderr,
                          "usage: %s [--csv] [--workloads w,...] "
@@ -89,8 +89,9 @@ main(int argc, char **argv)
 
     std::printf("%s\n",
                 reportsToTable(reports,
-                               {"workload", "policy", "ipc", "lifetime",
-                                "utilization", "drain", "mpki"})
+                               {"workload", "policy", "ipc",
+                                "lifetime_years", "bank_utilization",
+                                "drain_fraction", "mpki"})
                     .c_str());
     for (const std::string &p : policy_names) {
         if (p == "Norm")

@@ -9,7 +9,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "mellow/policy.hh"
@@ -25,7 +24,7 @@ main(int argc, char **argv)
     applyDeviceArgs(argc, argv);
     std::string workload = argc > 1 ? argv[1] : "stream";
     std::uint64_t instrs =
-        argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 10'000'000ull;
+        argc > 2 ? parseCount(argv[2], "instructions") : 10'000'000ull;
 
     std::printf("mellowsim quickstart: workload=%s instructions=%llu\n\n",
                 workload.c_str(),
@@ -42,8 +41,9 @@ main(int argc, char **argv)
 
     std::printf("%s\n",
                 reportsToTable(reports, {"workload", "policy", "ipc",
-                                         "lifetime", "utilization",
-                                         "drain", "mpki"})
+                                         "lifetime_years",
+                                         "bank_utilization",
+                                         "drain_fraction", "mpki"})
                     .c_str());
 
     const SimReport &norm = reports[0];

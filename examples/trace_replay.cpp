@@ -13,7 +13,6 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "mellow/policy.hh"
@@ -51,13 +50,13 @@ main(int argc, char **argv)
             argc > 2 ? policies::fromName(argv[2])
                      : policies::beMellow().withSC();
         std::uint64_t instrs = argc > 3
-                                   ? std::strtoull(argv[3], nullptr, 10)
+                                   ? parseCount(argv[3], "instructions")
                                    : 10'000'000ull;
         SimReport r = replay(path, policy, instrs);
         std::printf("%s\n",
                     reportsToTable({r}, {"workload", "policy", "ipc",
-                                         "lifetime", "utilization",
-                                         "mpki"})
+                                         "lifetime_years",
+                                         "bank_utilization", "mpki"})
                         .c_str());
         return 0;
     }
@@ -77,8 +76,8 @@ main(int argc, char **argv)
     }
     std::printf("\n%s\n",
                 reportsToTable(reports, {"workload", "policy", "ipc",
-                                         "lifetime", "utilization",
-                                         "mpki"})
+                                         "lifetime_years",
+                                         "bank_utilization", "mpki"})
                     .c_str());
     std::printf("(the replayed trace cycles; lifetimes follow the "
                 "paper's cyclic-execution model)\n");

@@ -1,9 +1,9 @@
 #include "system/report.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <sstream>
+#include <string_view>
+#include <variant>
 
 #include "sim/logging.hh"
 
@@ -13,137 +13,160 @@ namespace mellowsim
 namespace
 {
 
-/** Append one "name value" fingerprint line; doubles use full
- * precision. */
-void
-fingerprintLine(std::ostringstream &out, const char *name, double v)
+/** A Tick field: raw ticks in the fingerprint, nanoseconds in CSV. */
+struct Ticks
 {
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out << name << ' ' << buf << '\n';
+    Tick ticks;
+};
+
+/** One field's value as read off a report. */
+using Value = std::variant<std::string_view, std::uint64_t, double, Ticks>;
+
+template <typename T>
+Value
+toValue(const T &member)
+{
+    return member;
 }
 
-void
-fingerprintLine(std::ostringstream &out, const char *name,
-                std::uint64_t v)
+/** Energies are the report's one exit from the typed domain. */
+Value
+toValue(Picojoules energyPj)
 {
-    out << name << ' ' << v << '\n';
+    return energyPj.value();
 }
 
-} // namespace
+/**
+ * One SimReport field: its fingerprint key (the member name), its
+ * CSV / table column (nullptr: fingerprint only), the CSV format of a
+ * double or Tick value, and its accessor.
+ */
+struct Field
+{
+    const char *key;
+    const char *column;
+    const char *format;
+    Value (*get)(const SimReport &);
+};
+
+#define FIELD(member, column, format)                                     \
+    Field{#member, column, format,                                        \
+          [](const SimReport &r) { return toValue(r.member); }}
+#define TICK_FIELD(member, column)                                        \
+    Field{#member, column, "%.1f",                                        \
+          [](const SimReport &r) { return Value(Ticks{r.member}); }}
+
+/** Every report field, in fingerprint (and CSV column) order. */
+const Field kFields[] = {
+    FIELD(workload, "workload", nullptr),
+    FIELD(policy, "policy", nullptr),
+    {"status", "status", nullptr,
+     [](const SimReport &r) { return Value(reportStatusName(r.status)); }},
+    {"capacityFloorReached", nullptr, nullptr,
+     [](const SimReport &r) {
+         return Value(std::uint64_t{
+             r.status == ReportStatus::CapacityExhausted});
+     }},
+    FIELD(instructions, "instructions", nullptr),
+    TICK_FIELD(simTicks, "sim_ns"),
+    FIELD(ipc, "ipc", "%.4f"),
+    FIELD(lifetimeYears, "lifetime_years", "%.3f"),
+    FIELD(avgBankUtilization, "bank_utilization", "%.4f"),
+    FIELD(drainTimeFraction, "drain_fraction", "%.5f"),
+    FIELD(mpki, "mpki", "%.3f"),
+    FIELD(llcDemandReads, "llc_demand_reads", nullptr),
+    FIELD(llcDemandWrites, "llc_demand_writes", nullptr),
+    FIELD(llcMisses, "llc_misses", nullptr),
+    FIELD(writebacksToMem, "writebacks_to_mem", nullptr),
+    FIELD(eagerSent, "eager_sent", nullptr),
+    FIELD(eagerWasted, "eager_wasted", nullptr),
+    FIELD(memReads, "mem_reads", nullptr),
+    FIELD(forwardedReads, "forwarded_reads", nullptr),
+    FIELD(issuedNormalWrites, "normal_writes", nullptr),
+    FIELD(issuedSlowWrites, "slow_writes", nullptr),
+    FIELD(issuedEagerNormal, "eager_normal", nullptr),
+    FIELD(issuedEagerSlow, "eager_slow", nullptr),
+    FIELD(cancelledWrites, "cancelled_writes", nullptr),
+    FIELD(pausedWrites, "paused_writes", nullptr),
+    FIELD(drainEntries, "drain_entries", nullptr),
+    FIELD(avgReadLatencyNs, "avg_read_latency_ns", "%.2f"),
+    FIELD(readEnergyPj, "read_energy_pj", "%.3e"),
+    FIELD(writeEnergyPj, "write_energy_pj", "%.3e"),
+    FIELD(totalEnergyPj, "total_energy_pj", "%.3e"),
+    FIELD(quotaPeriods, "quota_periods", nullptr),
+    FIELD(quotaSlowOnlyPeriods, "quota_slow_only", nullptr),
+    FIELD(writeRetries, "write_retries", nullptr),
+    FIELD(transientWriteFailures, "transient_failures", nullptr),
+    FIELD(permanentFaults, "permanent_faults", nullptr),
+    FIELD(faultRepairsUsed, "fault_repairs", nullptr),
+    FIELD(retiredLines, "retired_lines", nullptr),
+    FIELD(deadLines, "dead_lines", nullptr),
+    TICK_FIELD(firstFaultTick, "first_fault_ns"),
+    TICK_FIELD(firstUncorrectableTick, "first_ue_ns"),
+    FIELD(effectiveCapacityFraction, "effective_capacity", "%.6f"),
+};
+
+#undef FIELD
+#undef TICK_FIELD
 
 std::string
-reportFingerprint(const SimReport &r)
-{
-    std::ostringstream out;
-    out << "workload " << r.workload << '\n';
-    out << "policy " << r.policy << '\n';
-    out << "status " << reportStatusName(r.status) << '\n';
-    fingerprintLine(out, "capacityFloorReached",
-                    static_cast<std::uint64_t>(r.capacityFloorReached));
-    fingerprintLine(out, "instructions", r.instructions);
-    fingerprintLine(out, "simTicks",
-                    static_cast<std::uint64_t>(r.simTicks));
-    fingerprintLine(out, "ipc", r.ipc);
-    fingerprintLine(out, "lifetimeYears", r.lifetimeYears);
-    fingerprintLine(out, "avgBankUtilization", r.avgBankUtilization);
-    fingerprintLine(out, "drainTimeFraction", r.drainTimeFraction);
-    fingerprintLine(out, "mpki", r.mpki);
-    fingerprintLine(out, "llcDemandReads", r.llcDemandReads);
-    fingerprintLine(out, "llcDemandWrites", r.llcDemandWrites);
-    fingerprintLine(out, "llcMisses", r.llcMisses);
-    fingerprintLine(out, "writebacksToMem", r.writebacksToMem);
-    fingerprintLine(out, "eagerSent", r.eagerSent);
-    fingerprintLine(out, "eagerWasted", r.eagerWasted);
-    fingerprintLine(out, "memReads", r.memReads);
-    fingerprintLine(out, "forwardedReads", r.forwardedReads);
-    fingerprintLine(out, "issuedNormalWrites", r.issuedNormalWrites);
-    fingerprintLine(out, "issuedSlowWrites", r.issuedSlowWrites);
-    fingerprintLine(out, "issuedEagerNormal", r.issuedEagerNormal);
-    fingerprintLine(out, "issuedEagerSlow", r.issuedEagerSlow);
-    fingerprintLine(out, "cancelledWrites", r.cancelledWrites);
-    fingerprintLine(out, "pausedWrites", r.pausedWrites);
-    fingerprintLine(out, "drainEntries", r.drainEntries);
-    fingerprintLine(out, "avgReadLatencyNs", r.avgReadLatencyNs);
-    fingerprintLine(out, "readEnergyPj", r.readEnergyPj.value());
-    fingerprintLine(out, "writeEnergyPj", r.writeEnergyPj.value());
-    fingerprintLine(out, "totalEnergyPj", r.totalEnergyPj.value());
-    fingerprintLine(out, "quotaPeriods", r.quotaPeriods);
-    fingerprintLine(out, "quotaSlowOnlyPeriods", r.quotaSlowOnlyPeriods);
-    fingerprintLine(out, "writeRetries", r.writeRetries);
-    fingerprintLine(out, "transientWriteFailures",
-                    r.transientWriteFailures);
-    fingerprintLine(out, "permanentFaults", r.permanentFaults);
-    fingerprintLine(out, "faultRepairsUsed", r.faultRepairsUsed);
-    fingerprintLine(out, "retiredLines", r.retiredLines);
-    fingerprintLine(out, "deadLines", r.deadLines);
-    fingerprintLine(out, "firstFaultTick",
-                    static_cast<std::uint64_t>(r.firstFaultTick));
-    fingerprintLine(out, "firstUncorrectableTick",
-                    static_cast<std::uint64_t>(r.firstUncorrectableTick));
-    fingerprintLine(out, "effectiveCapacityFraction",
-                    r.effectiveCapacityFraction);
-    return out.str();
-}
-
-namespace
-{
-
-std::string
-fmt(const char *format, double v)
+printed(const char *format, double v)
 {
     char buf[64];
     std::snprintf(buf, sizeof(buf), format, v);
     return buf;
 }
 
+/** Fingerprint text: exact values, doubles at full precision. */
 std::string
-columnValue(const SimReport &r, const std::string &col)
+exactText(const Value &v)
 {
-    if (col == "workload")
-        return r.workload;
-    if (col == "policy")
-        return r.policy;
-    if (col == "status")
-        return reportStatusName(r.status);
-    if (col == "ipc")
-        return fmt("%.3f", r.ipc);
-    if (col == "lifetime")
-        return std::isinf(r.lifetimeYears) ? "inf"
-                                           : fmt("%.2f", r.lifetimeYears);
-    if (col == "utilization")
-        return fmt("%.3f", r.avgBankUtilization);
-    if (col == "drain")
-        return fmt("%.4f", r.drainTimeFraction);
-    if (col == "mpki")
-        return fmt("%.2f", r.mpki);
-    if (col == "energy")
-        return fmt("%.3e", r.totalEnergyPj.value());
-    if (col == "reads")
-        return std::to_string(r.memReads);
-    if (col == "writes")
-        return std::to_string(r.totalBankWrites());
-    if (col == "retries")
-        return std::to_string(r.writeRetries);
-    if (col == "faults")
-        return std::to_string(r.permanentFaults);
-    if (col == "retired")
-        return std::to_string(r.retiredLines);
-    if (col == "dead")
-        return std::to_string(r.deadLines);
-    if (col == "first_fault_ns") {
-        return r.firstFaultTick == 0
-                   ? "never"
-                   : fmt("%.1f", ticksToNs(r.firstFaultTick));
+    if (const auto *text = std::get_if<std::string_view>(&v))
+        return std::string(*text);
+    if (const auto *real = std::get_if<double>(&v))
+        return printed("%.17g", *real);
+    if (const auto *t = std::get_if<Ticks>(&v))
+        return std::to_string(t->ticks);
+    return std::to_string(std::get<std::uint64_t>(v));
+}
+
+/** CSV / table text: doubles and Ticks in the field's format. */
+std::string
+cellText(const Field &field, const SimReport &r)
+{
+    const Value v = field.get(r);
+    if (const auto *real = std::get_if<double>(&v))
+        return printed(field.format, *real);
+    if (const auto *t = std::get_if<Ticks>(&v))
+        return printed(field.format, ticksToNs(t->ticks));
+    return exactText(v);
+}
+
+/** The field rendered under CSV / table column @p column. */
+const Field &
+columnField(const std::string &column)
+{
+    for (const Field &f : kFields) {
+        if (f.column != nullptr && column == f.column)
+            return f;
     }
-    if (col == "first_ue_ns") {
-        return r.firstUncorrectableTick == 0
-                   ? "never"
-                   : fmt("%.1f", ticksToNs(r.firstUncorrectableTick));
+    fatal("unknown report column '%s'", column.c_str());
+}
+
+/** A header row of column names, then one row of cells per report. */
+std::vector<std::vector<std::string>>
+cellRows(const std::vector<const Field *> &fields,
+         const std::vector<SimReport> &reports)
+{
+    std::vector<std::vector<std::string>> rows(1);
+    for (const Field *f : fields)
+        rows[0].emplace_back(f->column);
+    for (const SimReport &r : reports) {
+        std::vector<std::string> &row = rows.emplace_back();
+        for (const Field *f : fields)
+            row.push_back(cellText(*f, r));
     }
-    if (col == "capacity")
-        return fmt("%.6f", r.effectiveCapacityFraction);
-    fatal("unknown report column '%s'", col.c_str());
+    return rows;
 }
 
 } // namespace
@@ -161,69 +184,39 @@ reportStatusName(ReportStatus status)
 }
 
 std::string
+reportFingerprint(const SimReport &r)
+{
+    std::string out;
+    for (const Field &f : kFields)
+        out += std::string(f.key) + ' ' + exactText(f.get(r)) + '\n';
+    return out;
+}
+
+std::string
 reportsToCsv(const std::vector<SimReport> &reports)
 {
-    std::ostringstream out;
-    out << "workload,policy,status,instructions,sim_ns,ipc,"
-           "lifetime_years,"
-           "bank_utilization,drain_fraction,mpki,"
-           "llc_demand_reads,llc_demand_writes,llc_misses,"
-           "writebacks_to_mem,eager_sent,eager_wasted,"
-           "mem_reads,forwarded_reads,normal_writes,slow_writes,"
-           "eager_normal,eager_slow,cancelled_writes,paused_writes,"
-           "drain_entries,"
-           "avg_read_latency_ns,read_energy_pj,write_energy_pj,"
-           "total_energy_pj,quota_periods,quota_slow_only,"
-           "write_retries,transient_failures,permanent_faults,"
-           "fault_repairs,retired_lines,dead_lines,first_fault_ns,"
-           "first_ue_ns,effective_capacity\n";
-    for (const SimReport &r : reports) {
-        out << r.workload << ',' << r.policy << ','
-            << reportStatusName(r.status) << ',' << r.instructions
-            << ',' << fmt("%.1f", ticksToNs(r.simTicks)) << ','
-            << fmt("%.4f", r.ipc) << ','
-            << (std::isinf(r.lifetimeYears)
-                    ? std::string("inf")
-                    : fmt("%.3f", r.lifetimeYears))
-            << ',' << fmt("%.4f", r.avgBankUtilization) << ','
-            << fmt("%.5f", r.drainTimeFraction) << ','
-            << fmt("%.3f", r.mpki) << ',' << r.llcDemandReads << ','
-            << r.llcDemandWrites << ',' << r.llcMisses << ','
-            << r.writebacksToMem << ',' << r.eagerSent << ','
-            << r.eagerWasted << ',' << r.memReads << ','
-            << r.forwardedReads << ',' << r.issuedNormalWrites << ','
-            << r.issuedSlowWrites << ',' << r.issuedEagerNormal << ','
-            << r.issuedEagerSlow << ',' << r.cancelledWrites << ','
-            << r.pausedWrites << ',' << r.drainEntries << ','
-            << fmt("%.2f", r.avgReadLatencyNs) << ','
-            << fmt("%.3e", r.readEnergyPj.value()) << ','
-            << fmt("%.3e", r.writeEnergyPj.value()) << ','
-            << fmt("%.3e", r.totalEnergyPj.value()) << ','
-            << r.quotaPeriods
-            << ',' << r.quotaSlowOnlyPeriods << ','
-            << r.writeRetries << ',' << r.transientWriteFailures
-            << ',' << r.permanentFaults << ',' << r.faultRepairsUsed
-            << ',' << r.retiredLines << ',' << r.deadLines << ','
-            << fmt("%.1f", ticksToNs(r.firstFaultTick)) << ','
-            << fmt("%.1f", ticksToNs(r.firstUncorrectableTick)) << ','
-            << fmt("%.6f", r.effectiveCapacityFraction) << '\n';
+    std::vector<const Field *> fields;
+    for (const Field &f : kFields) {
+        if (f.column != nullptr)
+            fields.push_back(&f);
     }
-    return out.str();
+    std::string out;
+    for (const auto &row : cellRows(fields, reports)) {
+        for (std::size_t c = 0; c < row.size(); ++c)
+            out += (c == 0 ? "" : ",") + row[c];
+        out += '\n';
+    }
+    return out;
 }
 
 std::string
 reportsToTable(const std::vector<SimReport> &reports,
                const std::vector<std::string> &columns)
 {
-    // Collect all cells, then size the columns.
-    std::vector<std::vector<std::string>> rows;
-    rows.push_back(columns);
-    for (const SimReport &r : reports) {
-        std::vector<std::string> row;
-        for (const std::string &col : columns)
-            row.push_back(columnValue(r, col));
-        rows.push_back(std::move(row));
-    }
+    std::vector<const Field *> fields;
+    for (const std::string &column : columns)
+        fields.push_back(&columnField(column));
+    const auto rows = cellRows(fields, reports);
 
     std::vector<std::size_t> widths(columns.size(), 0);
     for (const auto &row : rows) {
@@ -231,24 +224,23 @@ reportsToTable(const std::vector<SimReport> &reports,
             widths[c] = std::max(widths[c], row[c].size());
     }
 
-    std::ostringstream out;
+    std::string out;
     for (std::size_t i = 0; i < rows.size(); ++i) {
         for (std::size_t c = 0; c < rows[i].size(); ++c) {
-            out << rows[i][c];
-            if (c + 1 < rows[i].size()) {
-                out << std::string(widths[c] - rows[i][c].size() + 2,
-                                   ' ');
-            }
+            out += rows[i][c];
+            if (c + 1 < rows[i].size())
+                out.append(widths[c] - rows[i][c].size() + 2, ' ');
         }
-        out << '\n';
+        out += '\n';
         if (i == 0) {
             std::size_t total = 0;
             for (std::size_t c = 0; c < widths.size(); ++c)
                 total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
-            out << std::string(total, '-') << '\n';
+            out.append(total, '-');
+            out += '\n';
         }
     }
-    return out.str();
+    return out;
 }
 
 } // namespace mellowsim

@@ -4,7 +4,9 @@
  *
  * A SimReport carries every quantity the paper's figures plot; the
  * bench binaries assemble reports into the same rows/series as the
- * corresponding figure or table.
+ * corresponding figure or table. The fingerprint, CSV and table
+ * renderers below are loops over one field table in report.cc, which
+ * gives each field its fingerprint key, CSV column and CSV format.
  */
 
 #ifndef MELLOWSIM_SYSTEM_REPORT_HH
@@ -95,8 +97,6 @@ struct SimReport
     Tick firstUncorrectableTick = 0;         ///< 0 = never
     /** Fraction of lines still reliable (1.0 with faults off). */
     double effectiveCapacityFraction = 1.0;
-    /** True iff the run ended at the configured capacity floor. */
-    bool capacityFloorReached = false;
 
     /**
      * All issued write attempts (demand + eager). Issue counters are
@@ -120,8 +120,9 @@ struct SimReport
 
 /**
  * Exhaustive textual fingerprint of a report: every field, one
- * "name value" line each, doubles at full (%.17g) precision. Two
- * reports fingerprint identically iff every measured quantity is
+ * "name value" line each, doubles at full (%.17g) precision, plus
+ * "capacityFloorReached 0|1" derived from the status. Two reports
+ * fingerprint identically iff every measured quantity is
  * byte-identical — the currency of the determinism audits
  * (tools/determinism_check and its golden file).
  */
@@ -131,10 +132,9 @@ std::string reportFingerprint(const SimReport &r);
 std::string reportsToCsv(const std::vector<SimReport> &reports);
 
 /**
- * Render reports as an aligned text table with a chosen subset of
- * columns. Supported column names: workload, policy, status, ipc,
- * lifetime, utilization, drain, mpki, energy, reads, writes, retries,
- * faults, retired, dead, first_fault_ns, first_ue_ns, capacity.
+ * Render reports as an aligned text table of the chosen columns. A
+ * column is any reportsToCsv() header name and prints as in the CSV;
+ * an unknown name is fatal, even with no reports.
  */
 std::string reportsToTable(const std::vector<SimReport> &reports,
                            const std::vector<std::string> &columns);

@@ -23,14 +23,7 @@ envInstrs(const char *name, std::uint64_t fallback)
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
         return fallback;
-    // strtoull wraps "-1" to 2^64 - 1 and saturates on overflow;
-    // reject both rather than run for ~forever.
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long parsed = std::strtoull(v, &end, 10);
-    fatal_if(end == v || *end != '\0' || std::strchr(v, '-') != nullptr,
-             "%s must be a positive integer (got '%s')", name, v);
-    fatal_if(errno == ERANGE, "%s is out of range (got '%s')", name, v);
+    std::uint64_t parsed = parseCount(v, name);
     fatal_if(parsed == 0, "%s must be positive", name);
     return parsed;
 }
@@ -87,6 +80,19 @@ deviceOverrideSlot()
 }
 
 } // namespace
+
+std::uint64_t
+parseCount(const char *text, const char *what)
+{
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long parsed = std::strtoull(text, &end, 10);
+    fatal_if(end == text || *end != '\0' ||
+                 std::strchr(text, '-') != nullptr,
+             "%s must be a non-negative integer (got '%s')", what, text);
+    fatal_if(errno == ERANGE, "%s is out of range (got '%s')", what, text);
+    return parsed;
+}
 
 void
 setDeviceOverride(const std::string &nameOrPath)

@@ -22,6 +22,15 @@ namespace mellowsim
 {
 
 /**
+ * Parse a decimal count from an environment variable or command line
+ * argument, named @p what in the error. A sign, trailing characters
+ * or a value past 2^64 - 1 is fatal; strtoull alone would wrap "-1"
+ * to 2^64 - 1. Zero is accepted; callers that need a positive count
+ * check for it.
+ */
+std::uint64_t parseCount(const char *text, const char *what);
+
+/**
  * Default configuration for a (workload, policy) pair, honouring the
  * MELLOWSIM_INSTRS and MELLOWSIM_WARMUP environment variables so the
  * whole bench suite can be scaled up or down without recompiling.

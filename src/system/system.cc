@@ -98,7 +98,6 @@ System::run()
     r.policy = _config.policy.name;
     r.status = capacity_exhausted ? ReportStatus::CapacityExhausted
                                   : ReportStatus::Ok;
-    r.capacityFloorReached = capacity_exhausted;
     r.instructions = _core->stats().instructions;
     if (capacity_exhausted) {
         // The core never finished; measure IPC over the instructions

@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "system/report.hh"
@@ -28,6 +31,71 @@ quickConfig(const std::string &workload, const WritePolicyConfig &policy,
     cfg.instructions = instrs;
     cfg.warmupInstructions = 1'000'000;
     return cfg;
+}
+
+/**
+ * Two hand-built reports with a distinct value in every field: one
+ * stopped at the capacity floor with nonzero fault ticks, one with an
+ * unbounded lifetime and no faults.
+ */
+std::vector<SimReport>
+pinnedReports()
+{
+    SimReport a;
+    a.workload = "gups";
+    a.policy = "BE-Mellow+SC+WQ";
+    a.status = ReportStatus::CapacityExhausted;
+    a.instructions = 123456789;
+    a.simTicks = 987654321987;
+    a.ipc = 1.23456789;
+    a.lifetimeYears = 7.6543219;
+    a.avgBankUtilization = 0.45678912;
+    a.drainTimeFraction = 0.01234567;
+    a.mpki = 12.345678;
+    a.llcDemandReads = 11;
+    a.llcDemandWrites = 12;
+    a.llcMisses = 13;
+    a.writebacksToMem = 14;
+    a.eagerSent = 15;
+    a.eagerWasted = 16;
+    a.memReads = 17;
+    a.forwardedReads = 18;
+    a.issuedNormalWrites = 19;
+    a.issuedSlowWrites = 20;
+    a.issuedEagerNormal = 21;
+    a.issuedEagerSlow = 22;
+    a.cancelledWrites = 23;
+    a.pausedWrites = 24;
+    a.drainEntries = 25;
+    a.avgReadLatencyNs = 123.4567;
+    a.readEnergyPj = Picojoules(1.5e6);
+    a.writeEnergyPj = Picojoules(2.25e7);
+    a.totalEnergyPj = Picojoules(2.4e7);
+    a.quotaPeriods = 26;
+    a.quotaSlowOnlyPeriods = 27;
+    a.writeRetries = 28;
+    a.transientWriteFailures = 29;
+    a.permanentFaults = 30;
+    a.faultRepairsUsed = 31;
+    a.retiredLines = 32;
+    a.deadLines = 33;
+    a.firstFaultTick = 5000123;
+    a.firstUncorrectableTick = 7000456;
+    a.effectiveCapacityFraction = 0.987654321;
+
+    SimReport b;
+    b.workload = "stream";
+    b.policy = "Norm";
+    b.instructions = 2000000;
+    b.simTicks = 1000000000;
+    b.ipc = 0.5;
+    b.lifetimeYears = std::numeric_limits<double>::infinity();
+    b.mpki = 3.0;
+    b.memReads = 4096;
+    b.issuedNormalWrites = 512;
+    b.avgReadLatencyNs = 80.0;
+    b.totalEnergyPj = Picojoules(1e9);
+    return {a, b};
 }
 
 } // namespace
@@ -231,6 +299,15 @@ TEST(System, RunnerRejectsNegativeAndOverflowingCounts)
     }
     ScopedEnv env("MELLOWSIM_INSTRS", "12345");
     EXPECT_EQ(makeConfig("gups", norm()).instructions, 12345u);
+
+    // The same parser backs the examples' and tools' argv counts,
+    // which also reject trailing garbage.
+    for (const char *bad : {"-1", " -5", "99999999999999999999999",
+                            "12abc", "", "1e6"}) {
+        EXPECT_THROW(parseCount(bad, "instructions"), FatalError) << bad;
+    }
+    EXPECT_EQ(parseCount("200000", "instructions"), 200000u);
+    EXPECT_EQ(parseCount("0", "faults"), 0u);
 }
 
 TEST(System, RunnerGridAndLookups)
@@ -265,10 +342,90 @@ TEST(System, CsvAndTableRender)
     EXPECT_NE(csv.find("workload,policy"), std::string::npos);
     EXPECT_NE(csv.find("gups,Norm"), std::string::npos);
 
-    std::string table =
-        reportsToTable(reports, {"workload", "policy", "ipc"});
+    // Table columns are CSV names and print in the CSV format.
+    std::string table = reportsToTable(
+        reports, {"workload", "policy", "ipc", "lifetime_years",
+                  "bank_utilization", "drain_fraction", "first_ue_ns"});
     EXPECT_NE(table.find("gups"), std::string::npos);
+    EXPECT_NE(table.find("lifetime_years"), std::string::npos);
+    char ipc[32];
+    std::snprintf(ipc, sizeof(ipc), "%.4f", reports[0].ipc);
+    EXPECT_NE(table.find(ipc), std::string::npos);
     EXPECT_THROW(reportsToTable(reports, {"nope"}), FatalError);
+
+    // Column names are checked even when there is no row to render.
+    EXPECT_EQ(reportsToTable({}, {"workload", "ipc"}),
+              "workload  ipc\n-------------\n");
+    EXPECT_THROW(reportsToTable({}, {"nope"}), FatalError);
+    EXPECT_THROW(reportsToTable({}, {"workload", "capacityFloorReached"}),
+                 FatalError);
+}
+
+TEST(System, CsvAndFingerprintArePinnedByteForByte)
+{
+    // Every field holds a distinct value, so a renamed, reordered or
+    // reformatted column or fingerprint line fails here.
+    const std::vector<SimReport> reports = pinnedReports();
+    EXPECT_EQ(reportsToCsv(reports),
+        "workload,policy,status,instructions,sim_ns,ipc,lifetime_years,"
+        "bank_utilization,drain_fraction,mpki,llc_demand_reads,"
+        "llc_demand_writes,llc_misses,writebacks_to_mem,eager_sent,"
+        "eager_wasted,mem_reads,forwarded_reads,normal_writes,"
+        "slow_writes,eager_normal,eager_slow,cancelled_writes,"
+        "paused_writes,drain_entries,avg_read_latency_ns,read_energy_pj,"
+        "write_energy_pj,total_energy_pj,quota_periods,quota_slow_only,"
+        "write_retries,transient_failures,permanent_faults,fault_repairs,"
+        "retired_lines,dead_lines,first_fault_ns,first_ue_ns,"
+        "effective_capacity\n"
+        "gups,BE-Mellow+SC+WQ,capacity-exhausted,123456789,987654322.0,"
+        "1.2346,7.654,0.4568,0.01235,12.346,11,12,13,14,15,16,17,18,19,"
+        "20,21,22,23,24,25,123.46,1.500e+06,2.250e+07,2.400e+07,26,27,28,"
+        "29,30,31,32,33,5000.1,7000.5,0.987654\n"
+        "stream,Norm,ok,2000000,1000000.0,0.5000,inf,0.0000,0.00000,"
+        "3.000,0,0,0,0,0,0,4096,0,512,0,0,0,0,0,0,80.00,0.000e+00,"
+        "0.000e+00,1.000e+09,0,0,0,0,0,0,0,0,0.0,0.0,1.000000\n");
+    EXPECT_EQ(reportFingerprint(reports[0]),
+        "workload gups\n"
+        "policy BE-Mellow+SC+WQ\n"
+        "status capacity-exhausted\n"
+        "capacityFloorReached 1\n"
+        "instructions 123456789\n"
+        "simTicks 987654321987\n"
+        "ipc 1.2345678899999999\n"
+        "lifetimeYears 7.6543219000000002\n"
+        "avgBankUtilization 0.45678911999999999\n"
+        "drainTimeFraction 0.01234567\n"
+        "mpki 12.345677999999999\n"
+        "llcDemandReads 11\n"
+        "llcDemandWrites 12\n"
+        "llcMisses 13\n"
+        "writebacksToMem 14\n"
+        "eagerSent 15\n"
+        "eagerWasted 16\n"
+        "memReads 17\n"
+        "forwardedReads 18\n"
+        "issuedNormalWrites 19\n"
+        "issuedSlowWrites 20\n"
+        "issuedEagerNormal 21\n"
+        "issuedEagerSlow 22\n"
+        "cancelledWrites 23\n"
+        "pausedWrites 24\n"
+        "drainEntries 25\n"
+        "avgReadLatencyNs 123.4567\n"
+        "readEnergyPj 1500000\n"
+        "writeEnergyPj 22500000\n"
+        "totalEnergyPj 24000000\n"
+        "quotaPeriods 26\n"
+        "quotaSlowOnlyPeriods 27\n"
+        "writeRetries 28\n"
+        "transientWriteFailures 29\n"
+        "permanentFaults 30\n"
+        "faultRepairsUsed 31\n"
+        "retiredLines 32\n"
+        "deadLines 33\n"
+        "firstFaultTick 5000123\n"
+        "firstUncorrectableTick 7000456\n"
+        "effectiveCapacityFraction 0.98765432099999995\n");
 }
 
 TEST(System, FewerBanksShrinkMellowBenefit)

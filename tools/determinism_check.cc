@@ -36,11 +36,12 @@
  * The --golden mode pins behaviour across *builds*, not just across
  * runs of one build: it runs a fixed matrix (every generator under
  * Norm and BE-Mellow+SC+WQ, plus one fault-injection run, one SoftWear
- * run, one WoLFRaM run and one 4-channel run, each 500K instructions
- * after a 50K warm-up) and byte-compares the concatenated fingerprints
- * against a committed file (tests/golden/fingerprints.txt). With "-"
- * as the file the matrix is written to stdout instead, which is how
- * the file is regenerated:
+ * run, one WoLFRaM run, one 4-channel run and one run per shipped
+ * device config, each 500K instructions after a 50K warm-up) and
+ * byte-compares the concatenated fingerprints against a committed
+ * file (tests/golden/fingerprints.txt). With "-" as the file the
+ * matrix is written to stdout instead, which is how the file is
+ * regenerated:
  *
  *   determinism_check --golden - > tests/golden/fingerprints.txt
  *
@@ -56,12 +57,12 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "config/device_config.hh"
 #include "mellow/policy.hh"
 #include "wear/wear_leveler.hh"
 #include "sim/logging.hh"
@@ -328,6 +329,15 @@ runGoldenMode(const std::string &path)
         cfg.hierarchy.llc.cache.sizeBytes = 16 * 1024;
         matrix.emplace_back("gups BE-Mellow+SC+WQ 4-channel", cfg);
     }
+    // One run per shipped device file, bound the way makeConfig binds
+    // a --device selection, so a datasheet or binder change shows up.
+    for (const std::string &device : deviceConfigNames()) {
+        SystemConfig cfg = base("stream", "BE-Mellow+SC+WQ");
+        setDeviceOverride(device);
+        applyDeviceSelection(cfg);
+        matrix.emplace_back("stream BE-Mellow+SC+WQ device " + device, cfg);
+    }
+    setDeviceOverride("");
 
     std::string actual;
     for (const auto &[label, cfg] : matrix) {
@@ -386,15 +396,15 @@ main(int argc, char **argv)
                          "[warmup]\n", argv[0]);
             return 2;
         }
-        unsigned jobs = static_cast<unsigned>(
-            std::strtoul(argv[2], nullptr, 10));
+        unsigned jobs =
+            static_cast<unsigned>(parseCount(argv[2], "threads"));
         // Long enough per config that the worker threads genuinely
         // overlap (contended allocator, shared stdio, ...) instead of
         // finishing one after another.
         std::uint64_t instructions =
-            argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 1'000'000;
+            argc > 3 ? parseCount(argv[3], "instructions") : 1'000'000;
         std::uint64_t warmup =
-            argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 50'000;
+            argc > 4 ? parseCount(argv[4], "warmup") : 50'000;
         if (jobs == 0 || instructions == 0) {
             std::fprintf(stderr,
                          "usage: %s --threads N>=1 [instructions>0] "
@@ -408,17 +418,12 @@ main(int argc, char **argv)
     std::string workload = argc > 1 ? argv[1] : "stream";
     std::string policy = argc > 2 ? argv[2] : "BE-Mellow+SC+WQ";
     std::uint64_t instructions =
-        argc > 3 ? std::strtoull(argv[3], nullptr, 10) : 300'000;
-    std::uint64_t warmup =
-        argc > 4 ? std::strtoull(argv[4], nullptr, 10) : 50'000;
-    std::uint64_t seed =
-        argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
-    unsigned runs = argc > 6
-                        ? static_cast<unsigned>(
-                              std::strtoul(argv[6], nullptr, 10))
-                        : 2;
-    bool faults =
-        argc > 7 && std::strtoul(argv[7], nullptr, 10) != 0;
+        argc > 3 ? parseCount(argv[3], "instructions") : 300'000;
+    std::uint64_t warmup = argc > 4 ? parseCount(argv[4], "warmup") : 50'000;
+    std::uint64_t seed = argc > 5 ? parseCount(argv[5], "seed") : 1;
+    unsigned runs =
+        argc > 6 ? static_cast<unsigned>(parseCount(argv[6], "runs")) : 2;
+    bool faults = argc > 7 && parseCount(argv[7], "faults") != 0;
     bool has_leveler = false;
     WearLevelerKind leveler = WearLevelerKind::StartGap;
     if (argc > 8) {
