@@ -10,8 +10,7 @@
  *   perf.event.ns_per_event        host ns per fired event
  *   perf.event.events_per_sec      schedule+fire throughput
  *   perf.event.steady_allocs       heap allocations during the timed
- *                                  steady-state loop (-1 when the
- *                                  alloc counter is compiled out)
+ *                                  steady-state loop
  *   perf.cancel.ns_per_op          schedule+deschedule churn cost
  *   perf.cancel.steady_allocs      ditto for the cancel churn loop
  *   perf.rq.ns_per_op              request-queue push/pop/index cost
@@ -74,8 +73,6 @@ metric(const char *name, double value)
 std::int64_t
 allocDelta(std::uint64_t before)
 {
-    if (!alloccounter::enabled())
-        return -1;
     return static_cast<std::int64_t>(alloccounter::allocations() -
                                      before);
 }

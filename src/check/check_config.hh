@@ -2,26 +2,16 @@
  * @file
  * Configuration of the runtime invariant-checking layer.
  *
- * The checkers themselves (src/check/checkers.hh) are ordinary,
- * always-compiled classes so unit tests can exercise them in every
- * build mode. What the MELLOWSIM_CHECKS build option gates is the
- * *wiring*: with MELLOWSIM_CHECKS_ENABLED == 0 the System never
- * instantiates a registry, schedules no audit events and the hooks
- * compile to nothing, so a release build pays zero overhead.
+ * The checkers (src/check/checkers.hh) are compiled into every build.
+ * CheckConfig::enabled decides per simulation whether the System
+ * wires them in: with it off (the default) the System builds no
+ * registry and schedules no audit events.
  */
 
 #ifndef MELLOWSIM_CHECK_CHECK_CONFIG_HH
 #define MELLOWSIM_CHECK_CHECK_CONFIG_HH
 
 #include "sim/types.hh"
-
-/**
- * Compile-time master switch, set to 1 by the MELLOWSIM_CHECKS CMake
- * option (see the asan-ubsan and strict presets).
- */
-#ifndef MELLOWSIM_CHECKS_ENABLED
-#define MELLOWSIM_CHECKS_ENABLED 0
-#endif
 
 namespace mellowsim
 {
@@ -30,11 +20,11 @@ namespace mellowsim
 struct CheckConfig
 {
     /**
-     * Master runtime switch. Only consulted when the library was
-     * built with MELLOWSIM_CHECKS=ON; a checks-enabled build may
-     * still turn auditing off per simulation.
+     * Master switch, off by default so library users, benches and
+     * examples never audit unless they ask. The tests and the golden
+     * gate (tools/determinism_check) turn it on.
      */
-    bool enabled = true;
+    bool enabled = false;
 
     /**
      * Strict mode: an audit that finds violations reports every one

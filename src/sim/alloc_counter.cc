@@ -1,7 +1,5 @@
 #include "sim/alloc_counter.hh"
 
-#ifdef MELLOWSIM_ALLOC_COUNTER_ENABLED
-
 #include <cstdlib>
 #include <new>
 
@@ -165,30 +163,3 @@ operator delete[](void *p, const std::nothrow_t &) noexcept
 {
     countedFree(p);
 }
-
-#else // !MELLOWSIM_ALLOC_COUNTER_ENABLED
-
-namespace mellowsim::alloccounter
-{
-
-bool
-enabled()
-{
-    return false;
-}
-
-std::uint64_t
-allocations()
-{
-    return 0;
-}
-
-std::uint64_t
-deallocations()
-{
-    return 0;
-}
-
-} // namespace mellowsim::alloccounter
-
-#endif // MELLOWSIM_ALLOC_COUNTER_ENABLED

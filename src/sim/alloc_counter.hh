@@ -2,16 +2,15 @@
  * @file
  * Global heap-allocation counter.
  *
- * When compiled in (MELLOWSIM_ALLOC_COUNTER_ENABLED, implied by
- * MELLOWSIM_CHECKS and on in the release-lto perf preset), the global
- * operator new/delete family is replaced with counting wrappers over
- * malloc/free. The counters let the perf harness (bench/micro_kernel)
- * prove the zero-steady-state-allocation property of the event kernel
- * and request path: sample the counter around a steady-state loop and
- * assert the delta is zero.
+ * Every build replaces the global operator new/delete family with
+ * counting wrappers over malloc/free (one relaxed atomic increment per
+ * call). The counters let the perf harnesses (bench/micro_kernel,
+ * perfbench) prove the zero-steady-state-allocation property of the
+ * event kernel and request path: sample the counter around a
+ * steady-state loop and assert the delta is zero.
  *
  * The wrappers route through malloc, so AddressSanitizer's malloc
- * interception (and leak checking) keeps working in checks builds.
+ * interception (and leak checking) keeps working.
  */
 
 #ifndef MELLOWSIM_SIM_ALLOC_COUNTER_HH
@@ -22,10 +21,13 @@
 namespace mellowsim::alloccounter
 {
 
-/** True when the counting operator new/delete are compiled in. */
+/**
+ * Always true: the counter is compiled into every build. Kept because
+ * perfbench (main.cc, traced.cc) still asks.
+ */
 [[nodiscard]] bool enabled();
 
-/** Global operator-new calls since process start (0 when disabled). */
+/** Global operator-new calls since process start. */
 [[nodiscard]] std::uint64_t allocations();
 
 /** Global operator-delete calls on non-null pointers since start. */

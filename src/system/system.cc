@@ -43,13 +43,11 @@ System::build()
     _core = std::make_unique<TraceCore>(_eventq, _config.core,
                                         *_workload, *_hierarchy);
 
-#if MELLOWSIM_CHECKS_ENABLED
     if (_config.checks.enabled) {
         _checks = std::make_unique<InvariantRegistry>(_config.checks);
         installStandardCheckers(*_checks, _eventq, *_memory);
         _checks->schedulePeriodic(_eventq);
     }
-#endif
 }
 
 SimReport

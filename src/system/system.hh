@@ -66,11 +66,7 @@ struct SystemConfig
     // device timing
     Tick maxSimTicks = 10 * kSecond;
 
-    /**
-     * Runtime invariant auditing (src/check/). Only consulted when
-     * the library was built with MELLOWSIM_CHECKS=ON; otherwise the
-     * checking layer compiles to nothing.
-     */
+    /** Runtime invariant auditing (src/check/); off by default. */
     CheckConfig checks;
 
     /**
@@ -115,8 +111,8 @@ class System
     [[nodiscard]] const SystemConfig &config() const { return _config; }
 
     /**
-     * The invariant-checker registry, or nullptr when checking is
-     * compiled out (MELLOWSIM_CHECKS=OFF) or disabled in the config.
+     * The invariant-checker registry, or nullptr unless
+     * config().checks.enabled.
      */
     [[nodiscard]] const InvariantRegistry *invariantChecks() const
     {

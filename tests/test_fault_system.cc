@@ -17,6 +17,7 @@
 
 #include "check/checkers.hh"
 #include "check/invariant.hh"
+#include "check/registry.hh"
 #include "fault/fault_model.hh"
 #include "system/report.hh"
 #include "system/system.hh"
@@ -66,6 +67,7 @@ faultConfig(const WritePolicyConfig &policy)
     cfg.memory.fault.enduranceScale = 2e-7;
     cfg.memory.fault.repairEntriesPerLine = 1;
     cfg.memory.fault.spareLinesPerBank = 4;
+    cfg.checks.enabled = true;
     return cfg;
 }
 
@@ -140,9 +142,9 @@ TEST(FaultSystem, RetiredLinesAreTransparentlyRemapped)
 
 TEST(FaultSystem, InvariantCheckersPassOnFaultRun)
 {
-    // The checkers are plain functions of captured snapshots, so this
-    // holds in every build mode (MELLOWSIM_CHECKS only gates the
-    // periodic in-simulation wiring).
+    // faultConfig turns auditing on, so the live registry audited the
+    // run periodically; the checkers are also plain functions of
+    // captured snapshots, re-evaluated here on the final state.
     SystemConfig cfg = faultConfig(norm());
     cfg.memory.fault.transientFailProb = 0.05;
     System sys(cfg, makeSynthetic(stressParams(), cfg.seed));
@@ -150,6 +152,8 @@ TEST(FaultSystem, InvariantCheckersPassOnFaultRun)
 
     EXPECT_GT(r.writeRetries, 0u);
     EXPECT_GT(r.transientWriteFailures, 0u);
+    ASSERT_NE(sys.invariantChecks(), nullptr);
+    EXPECT_TRUE(sys.invariantChecks()->violations().empty());
 
     const MemoryController &ctrl = sys.controller();
     std::vector<Violation> out;

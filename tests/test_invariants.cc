@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "check/checkers.hh"
 #include "check/install.hh"
 #include "check/registry.hh"
+#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "system/system.hh"
@@ -40,6 +42,7 @@ runSmallSystem(const WritePolicyConfig &policy)
     cfg.policy = policy;
     cfg.instructions = 1'000'000;
     cfg.warmupInstructions = 250'000;
+    cfg.checks.enabled = true;
     auto sys = std::make_unique<System>(cfg);
     sys->run();
     return sys;
@@ -582,35 +585,43 @@ TEST(InvariantRegistry, InstallCoversEverySubsystem)
 
 // --- System wiring -------------------------------------------------
 
-TEST(SystemChecks, RegistryMatchesBuildMode)
+TEST(SystemChecks, EnabledRunAuditsPeriodically)
 {
     SystemConfig cfg;
     cfg.workloadName = "stream";
     cfg.policy = policies::beMellow().withSC().withWQ();
     cfg.instructions = 200'000;
     cfg.warmupInstructions = 50'000;
+    cfg.checks.enabled = true;
     cfg.checks.interval = 50 * kMicrosecond;
     System sys(cfg);
     sys.run();
-#if MELLOWSIM_CHECKS_ENABLED
     ASSERT_NE(sys.invariantChecks(), nullptr);
     // Periodic audits ran and the final audit brought the count up.
     EXPECT_GT(sys.invariantChecks()->audits(), 1u);
     EXPECT_TRUE(sys.invariantChecks()->violations().empty());
-#else
-    EXPECT_EQ(sys.invariantChecks(), nullptr);
-#endif
 }
 
-TEST(SystemChecks, RuntimeDisableIsHonoured)
+TEST(SystemChecks, DefaultConfigDoesNotAudit)
 {
     SystemConfig cfg;
     cfg.workloadName = "stream";
     cfg.policy = policies::norm();
     cfg.instructions = 200'000;
     cfg.warmupInstructions = 50'000;
-    cfg.checks.enabled = false;
     System sys(cfg);
     sys.run();
     EXPECT_EQ(sys.invariantChecks(), nullptr);
+}
+
+TEST(SystemChecks, AllocationCounterIsCompiledIn)
+{
+    const std::uint64_t allocs = alloccounter::allocations();
+    const std::uint64_t frees = alloccounter::deallocations();
+    // A direct operator call, which the compiler may not elide the
+    // way it may elide a new-expression.
+    void *p = ::operator new(sizeof(int));
+    EXPECT_GT(alloccounter::allocations(), allocs);
+    ::operator delete(p);
+    EXPECT_GT(alloccounter::deallocations(), frees);
 }

@@ -30,6 +30,7 @@ quickConfig(const std::string &workload, const WritePolicyConfig &policy,
     cfg.policy = policy;
     cfg.instructions = instrs;
     cfg.warmupInstructions = 1'000'000;
+    cfg.checks.enabled = true;
     return cfg;
 }
 

@@ -2,10 +2,12 @@
 # Full CI pipeline for mellowsim, runnable locally or from the GitHub
 # Actions workflow (.github/workflows/ci.yml):
 #
-#   1. configure + build the asan-ubsan preset (ASan + UBSan,
-#      MELLOWSIM_CHECKS=ON so runtime invariant audits are live)
-#   2. run the whole test suite under that instrumented build
-#   3. run the determinism audit on a representative configuration
+#   1. configure + build the asan-ubsan preset (ASan + UBSan)
+#   2. run the whole test suite under that instrumented build (the
+#      full-system tests and the golden gate audit with the runtime
+#      invariant checkers on, as in every preset)
+#   3. run the determinism audit on a representative configuration,
+#      also with the invariant checkers on
 #   4. run the lint passes: mellow_lint.py, mellow-configcheck over
 #      the shipped device configs, and mellow-analyze (always; the
 #      analyzer falls back to its textual backend when libclang is

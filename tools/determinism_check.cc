@@ -52,6 +52,10 @@
  * transient verify failures) so the fault RNG draws, retries,
  * repairs, retirements and remap traffic are all covered by the
  * byte-identical same-seed audit.
+ *
+ * Every mode runs with the invariant checkers on (checks.enabled,
+ * strict by default), so a run that breaks an invariant panics
+ * instead of producing a fingerprint.
  */
 
 #include <algorithm>
@@ -235,6 +239,7 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
             cfg.instructions = instructions;
             cfg.warmupInstructions = warmup;
             cfg.seed = configs.size() + 1;
+            cfg.checks.enabled = true;
             if (configs.size() % 2 == 1)
                 layerFaults(cfg);
             configs.push_back(std::move(cfg));
@@ -251,6 +256,7 @@ runThreadsMode(unsigned jobs, std::uint64_t instructions,
         cfg.instructions = instructions;
         cfg.warmupInstructions = warmup;
         cfg.seed = configs.size() + 1;
+        cfg.checks.enabled = true;
         layerFaults(cfg);
         layerLeveler(cfg, kind);
         configs.push_back(std::move(cfg));
@@ -297,6 +303,7 @@ runGoldenMode(const std::string &path)
         cfg.policy = policies::fromName(policy);
         cfg.instructions = 500'000;
         cfg.warmupInstructions = 50'000;
+        cfg.checks.enabled = true;
         return cfg;
     };
 
@@ -452,6 +459,7 @@ main(int argc, char **argv)
         cfg.instructions = instructions;
         cfg.warmupInstructions = warmup;
         cfg.seed = seed;
+        cfg.checks.enabled = true;
         if (faults)
             layerFaults(cfg);
         if (has_leveler)

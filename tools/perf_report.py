@@ -1,10 +1,9 @@
 #!/usr/bin/env python3
 """Run the perf harness and emit BENCH_perf.json.
 
-Builds the release-lto preset (Release + IPO, allocation counter on,
-runtime checks off), runs bench/micro_kernel for the kernel-level
-metrics, then times a reduced fig11_policy_lifetime slice as the
-system-level figure.
+Builds the release-lto preset (Release + IPO), runs bench/micro_kernel
+for the kernel-level metrics, then times a reduced
+fig11_policy_lifetime slice as the system-level figure.
 
 BENCH_perf.json is a trajectory, not a snapshot (schema_version 2):
 each invocation APPENDS a run keyed by git SHA and date to the `runs`
