@@ -6,12 +6,19 @@
  * Mellow Writes profiler (Section IV-B1) counts hits per stack
  * position; position 0 is MRU, position (assoc-1) is LRU, matching
  * Figure 7 of the paper.
+ *
+ * Layout: every line lives in one contiguous array, set after set,
+ * each set ordered MRU..LRU. Next to it one 64-bit dirty-position
+ * mask per set (bit p: the line at stack position p is valid and
+ * dirty) lets the eager scanner test a set in O(1) instead of walking
+ * it; every mutator keeps the mask in step with the lines.
  */
 
 #ifndef MELLOWSIM_CACHE_CACHE_HH
 #define MELLOWSIM_CACHE_CACHE_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -98,6 +105,14 @@ class SetAssocCache
                        std::uint32_t stamp = 0);
 
     /**
+     * Warm-up touch in one pass over the set: on a hit the line moves
+     * to MRU and, if @p dirty, becomes dirty; on a miss a line is
+     * allocated at MRU and the victim is dropped. Leaves the line in
+     * the state access(addr, dirty) then insert(addr, dirty) would.
+     */
+    void prime(LogicalAddr addr, bool dirty);
+
+    /**
      * Mark the line holding @p addr clean and remember it was eagerly
      * cleaned. No-op if absent.
      * @retval true the line was present and dirty.
@@ -115,10 +130,20 @@ class SetAssocCache
 
     /**
      * Lines of one set ordered by recency: index 0 is MRU. Exposed
-     * for the eager scanner's random-set walks.
+     * for the decay selector's walk and for tests.
      */
-    [[nodiscard]] const std::vector<CacheLine> &
+    [[nodiscard]] std::span<const CacheLine>
     set(std::uint64_t index) const;
+
+    /**
+     * Dirty-position mask of set @p index: bit p is set iff the line
+     * at stack position p is valid and dirty.
+     */
+    [[nodiscard]] std::uint64_t
+    dirtyMask(std::uint64_t index) const
+    {
+        return _dirty[index];
+    }
 
     /** Count of valid dirty lines over the whole array (tests). */
     [[nodiscard]] std::uint64_t countDirtyLines() const;
@@ -132,10 +157,35 @@ class SetAssocCache
   private:
     [[nodiscard]] std::uint64_t setIndex(LogicalAddr addr) const;
 
+    /** First line of set @p s in _lines. */
+    [[nodiscard]] CacheLine *
+    lines(std::uint64_t s)
+    {
+        return _lines.data() + s * _config.assoc;
+    }
+
+    /** Stack position of @p block in set @p s, or -1 if absent. */
+    [[nodiscard]] int find(std::uint64_t s, LogicalAddr block) const;
+
+    /** Move the line at @p pos of set @p s to MRU. */
+    void moveToMru(std::uint64_t s, unsigned pos);
+
+    /**
+     * Shift set @p s down one position, dropping its LRU line, and
+     * install @p block at MRU. Returns the dropped line.
+     */
+    CacheLine allocateMru(std::uint64_t s, LogicalAddr block, bool dirty,
+                          std::uint32_t stamp);
+
     CacheConfig _config;
     std::uint64_t _numSets;
-    /** _sets[s] ordered MRU..LRU. Invalid lines sit at the tail. */
-    std::vector<std::vector<CacheLine>> _sets;
+    /**
+     * numSets x assoc lines, set s at [s * assoc, (s + 1) * assoc),
+     * each set ordered MRU..LRU. Invalid lines sit at the tail.
+     */
+    std::vector<CacheLine> _lines;
+    /** Per-set dirty-position masks (see dirtyMask()). */
+    std::vector<std::uint64_t> _dirty;
     bool _lastWriteWastedEager = false;
 };
 

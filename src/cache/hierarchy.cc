@@ -114,11 +114,8 @@ void
 Hierarchy::prime(LogicalAddr addr, bool isWrite)
 {
     LogicalAddr block = blockAlign(addr);
-    // Victims dropped deliberately: warm-up only.
-    if (!_l1.access(block, isWrite).hit)
-        (void)_l1.insert(block, isWrite);
-    if (!_l2.access(block, false).hit)
-        (void)_l2.insert(block, false);
+    _l1.prime(block, isWrite);
+    _l2.prime(block, false);
     _llc.prime(block, isWrite);
 }
 

@@ -1,5 +1,7 @@
 #include "cache/llc.hh"
 
+#include <bit>
+
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -102,56 +104,83 @@ Llc::fillFromMemory(LogicalAddr addr)
 void
 Llc::prime(LogicalAddr addr, bool dirty)
 {
-    CacheAccessResult res = _array.access(addr, dirty);
-    if (!res.hit) {
-        // Victim dropped deliberately: warm-up only.
-        (void)_array.insert(addr, dirty);
-    }
+    _array.prime(addr, dirty);
 }
 
-bool
-Llc::eagerCandidate(const CacheLine &line, unsigned pos) const
+int
+Llc::eagerCandidate(std::uint64_t setIdx) const
 {
-    if (!line.valid || !line.dirty)
-        return false;
-    switch (_config.selector) {
-      case EagerSelector::UselessLru:
-        return _profiler.isUseless(pos);
-      case EagerSelector::DecayDeadBlock:
-        return _period >= line.touchStamp &&
-               _period - line.touchStamp >= _config.deadAfterPeriods;
+    std::uint64_t dirty = _array.dirtyMask(setIdx);
+    if (_config.selector == EagerSelector::UselessLru) {
+        // Dirty lines in useless positions; the highest is the one
+        // nearest the LRU end.
+        std::uint64_t useless = dirty >> _profiler.uselessFrom()
+                                      << _profiler.uselessFrom();
+        return useless != 0 ? std::bit_width(useless) - 1 : -1;
     }
-    return false;
+    // DecayDeadBlock: from the LRU end, the first dirty line untouched
+    // for deadAfterPeriods whole periods.
+    std::span<const CacheLine> set = _array.set(setIdx);
+    while (dirty != 0) {
+        const int pos = std::bit_width(dirty) - 1;
+        const CacheLine &line = set[static_cast<unsigned>(pos)];
+        if (_period >= line.touchStamp &&
+            _period - line.touchStamp >= _config.deadAfterPeriods) {
+            return pos;
+        }
+        dirty &= ~(std::uint64_t{1} << pos);
+    }
+    return -1;
 }
 
 void
 Llc::onScan()
 {
-    _eventq.scheduleIn(_config.scanInterval, [this] { onScan(); });
-    if (!_controller.eagerQueueHasSpace())
-        return;
-    ++_stats.eagerScans;
+    // One firing covers every grid tick now, now + interval, ... below
+    // the queue's horizon: no other event fires before it, so queue
+    // space, the useless boundary and the array are constant over
+    // those ticks (DESIGN.md "Eager scan").
+    const Tick now = _eventq.curTick();
+    const Tick interval = _config.scanInterval;
+    const Tick horizon = _eventq.horizon();
+    const std::uint64_t ticks =
+        horizon > now ? (horizon - now - 1) / interval + 1 : 1;
+    auto rearm = [this](Tick when) {
+        _eventq.schedule(when, [this] { onScan(); });
+    };
 
+    if (!_controller.eagerQueueHasSpace()) {
+        rearm(now + ticks * interval);
+        return;
+    }
     if (_config.selector == EagerSelector::UselessLru &&
         _profiler.uselessFrom() >= _array.assoc()) {
-        return; // nothing is useless this period
+        _stats.eagerScans += ticks; // nothing is useless this period
+        rearm(now + ticks * interval);
+        return;
     }
 
-    std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
-    const auto &set = _array.set(set_idx);
-
-    // Least likely to be used again: scan from the LRU end and take
-    // the first candidate.
-    for (unsigned pos = static_cast<unsigned>(set.size()); pos-- > 0;) {
-        const CacheLine &line = set[pos];
-        if (!eagerCandidate(line, pos))
+    for (std::uint64_t k = 0; k < ticks; ++k) {
+        ++_stats.eagerScans;
+        std::uint64_t set_idx = _rng.nextBounded(_array.numSets());
+        int pos = eagerCandidate(set_idx);
+        if (pos < 0)
             continue;
-        if (_controller.eagerWrite(line.blockAddr)) {
-            _array.cleanLineForEagerWrite(line.blockAddr);
+        const Tick at = now + k * interval;
+        if (at != now)
+            _eventq.advanceTo(at);
+        // Re-arm before sending, as a per-tick handler would, so the
+        // next scan keeps its place in (when, seq) order.
+        rearm(at + interval);
+        LogicalAddr victim =
+            _array.set(set_idx)[static_cast<unsigned>(pos)].blockAddr;
+        if (_controller.eagerWrite(victim)) {
+            _array.cleanLineForEagerWrite(victim);
             ++_stats.eagerSent;
         }
         return;
     }
+    rearm(now + ticks * interval);
 }
 
 } // namespace mellowsim

@@ -78,7 +78,7 @@ struct LlcStats
     stats::Counter cleanEvictions;  ///< clean demand evictions
     stats::Counter eagerSent;       ///< accepted into the eager queue
     stats::Counter eagerWasted;     ///< eagerly-cleaned line re-dirtied
-    stats::Counter eagerScans;      ///< scan attempts
+    stats::Counter eagerScans;      ///< scan ticks with queue space
 };
 
 /** See file comment. */
@@ -134,9 +134,11 @@ class Llc
     void onSamplePeriod();
     void onScan();
     void handleVictim(const CacheVictim &victim);
-    /** Eager candidacy test for one line under the active selector. */
-    [[nodiscard]] bool eagerCandidate(const CacheLine &line,
-                                      unsigned pos) const;
+    /**
+     * Stack position of set @p setIdx's eager candidate under the
+     * active selector, or -1 if the set has none.
+     */
+    [[nodiscard]] int eagerCandidate(std::uint64_t setIdx) const;
 
     EventQueue &_eventq;
     LlcConfig _config;

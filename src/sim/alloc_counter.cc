@@ -3,21 +3,20 @@
 #include <cstdlib>
 #include <new>
 
-#include "sim/sync.hh"
-
 namespace
 {
 
-// Constant-initialized (constexpr std::atomic ctor inside), so the
+// One pair per thread, so sweep workers never share a cache line.
+// Constant-initialized plain integers: no TLS constructor runs, so the
 // replaced operator new is safe to hit during static initialization
-// of other translation units.
-mellowsim::sync::RelaxedCounter g_allocs;
-mellowsim::sync::RelaxedCounter g_frees;
+// and on any thread at any time.
+thread_local std::uint64_t g_allocs = 0;
+thread_local std::uint64_t g_frees = 0;
 
 void *
 countedAlloc(std::size_t bytes)
 {
-    g_allocs.increment();
+    ++g_allocs;
     // malloc(0) may return null; the returned pointer must be unique.
     if (void *p = std::malloc(bytes ? bytes : 1))
         return p;
@@ -27,7 +26,7 @@ countedAlloc(std::size_t bytes)
 void *
 countedAlignedAlloc(std::size_t bytes, std::size_t alignment)
 {
-    g_allocs.increment();
+    ++g_allocs;
     void *p = nullptr;
     if (posix_memalign(&p, alignment, bytes ? bytes : alignment) != 0)
         return nullptr;
@@ -39,7 +38,7 @@ countedFree(void *p)
 {
     if (p == nullptr)
         return;
-    g_frees.increment();
+    ++g_frees;
     std::free(p);
 }
 
@@ -57,13 +56,13 @@ enabled()
 std::uint64_t
 allocations()
 {
-    return g_allocs.value();
+    return g_allocs;
 }
 
 std::uint64_t
 deallocations()
 {
-    return g_frees.value();
+    return g_frees;
 }
 
 } // namespace mellowsim::alloccounter

@@ -3,11 +3,18 @@
  * Global heap-allocation counter.
  *
  * Every build replaces the global operator new/delete family with
- * counting wrappers over malloc/free (one relaxed atomic increment per
+ * counting wrappers over malloc/free (one thread-local increment per
  * call). The counters let the perf harnesses (bench/micro_kernel,
  * perfbench) prove the zero-steady-state-allocation property of the
  * event kernel and request path: sample the counter around a
  * steady-state loop and assert the delta is zero.
+ *
+ * The counts are per thread: allocations() and deallocations() return
+ * the calling thread's tally, so parallel sweep workers never contend
+ * on a shared cache line. Every reader (bench/micro_kernel,
+ * perfbench's traced detailed phase, the SystemChecks test) measures
+ * a span that runs on one thread; a span that hands work to other
+ * threads does not see their allocations.
  *
  * The wrappers route through malloc, so AddressSanitizer's malloc
  * interception (and leak checking) keeps working.
@@ -27,10 +34,13 @@ namespace mellowsim::alloccounter
  */
 [[nodiscard]] bool enabled();
 
-/** Global operator-new calls since process start. */
+/** Global operator-new calls made by the calling thread. */
 [[nodiscard]] std::uint64_t allocations();
 
-/** Global operator-delete calls on non-null pointers since start. */
+/**
+ * Global operator-delete calls on non-null pointers made by the
+ * calling thread.
+ */
 [[nodiscard]] std::uint64_t deallocations();
 
 } // namespace mellowsim::alloccounter

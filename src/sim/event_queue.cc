@@ -152,6 +152,16 @@ EventQueue::step()
 std::uint64_t
 EventQueue::run(Tick stopAt)
 {
+    // Bound every batched handler's horizon by stopAt for the span of
+    // this call; restored on every exit path.
+    struct StopGuard
+    {
+        Tick &slot;
+        Tick saved;
+        ~StopGuard() { slot = saved; }
+    } guard{_stopAt, _stopAt};
+    _stopAt = stopAt;
+
     std::uint64_t executed = 0;
     while (!_heap.empty()) {
         Entry top = _heap.front();

@@ -249,6 +249,44 @@ class EventQueue
      */
     bool step();
 
+    // --- Batched handlers -------------------------------------------
+    /**
+     * First tick at which something other than the running event may
+     * happen: the earlier of the earliest heap entry and the stop
+     * tick of an active run(stopAt). No event fires before it, so a
+     * handler may treat model state as constant over the ticks below
+     * it and cover many of its own periodic firings at once (the
+     * LLC's eager scan does; DESIGN.md "Eager scan"). A stale heap
+     * entry only makes the horizon earlier than it need be.
+     *
+     * Contract: step() has no stop tick, so the horizon of an event
+     * fired by step() reaches the next pending event. A caller that
+     * changes model state between events must advance time with
+     * run(until) instead, whose stop tick bounds every batch.
+     */
+    [[nodiscard]] Tick
+    horizon() const
+    {
+        Tick next = minPendingTick();
+        return next < _stopAt ? next : _stopAt;
+    }
+
+    /**
+     * Move the current tick forward to @p t inside the running event,
+     * for a batched handler that acts at a later tick of its batch.
+     * Panics unless curTick() <= @p t < horizon().
+     */
+    void
+    advanceTo(Tick t)
+    {
+        panic_if(t < _curTick || t >= horizon(),
+                 "advanceTo(%llu) outside [cur=%llu, horizon=%llu)",
+                 static_cast<unsigned long long>(t),
+                 static_cast<unsigned long long>(_curTick),
+                 static_cast<unsigned long long>(horizon()));
+        _curTick = t;
+    }
+
   private:
     /**
      * One pool slot. Slots live in fixed-size chunks that are never
@@ -421,6 +459,8 @@ class EventQueue
     void outlineRelease(void *block, unsigned bucket);
 
     Tick _curTick = 0;
+    /** Stop tick of the active run(); MaxTick outside run(). */
+    Tick _stopAt = MaxTick;
     std::uint64_t _nextSeq = 1;
     std::size_t _numPending = 0;
 

@@ -25,28 +25,6 @@ Rng::Rng(std::uint64_t seed)
         _s1 = 1;
 }
 
-std::uint64_t
-Rng::next()
-{
-    std::uint64_t x = _s0;
-    const std::uint64_t y = _s1;
-    _s0 = y;
-    x ^= x << 23;
-    _s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
-    return _s1 + y;
-}
-
-std::uint64_t
-Rng::nextBounded(std::uint64_t bound)
-{
-    if (bound <= 1)
-        return 0;
-    // Lemire's multiply-shift; the tiny modulo bias is irrelevant for
-    // workload synthesis.
-    return static_cast<std::uint64_t>(
-        (static_cast<__uint128_t>(next()) * bound) >> 64);
-}
-
 double
 Rng::nextDouble()
 {
@@ -72,8 +50,11 @@ Rng::nextGeometric(double mean)
     double u = nextDouble();
     // Inverse CDF of the geometric distribution on {0, 1, 2, ...}
     // with success probability 1 / (mean + 1).
-    double p = 1.0 / (mean + 1.0);
-    double g = std::floor(std::log1p(-u) / std::log1p(-p));
+    if (mean != _geomMean) {
+        _geomMean = mean;
+        _geomLogQ = std::log1p(-(1.0 / (mean + 1.0)));
+    }
+    double g = std::floor(std::log1p(-u) / _geomLogQ);
     if (g < 0.0)
         g = 0.0;
     return static_cast<std::uint64_t>(g);

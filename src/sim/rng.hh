@@ -30,10 +30,27 @@ class Rng
     explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
     /** Next raw 64-bit value. */
-    std::uint64_t next();
+    std::uint64_t
+    next()
+    {
+        std::uint64_t x = _s0;
+        const std::uint64_t y = _s1;
+        _s0 = y;
+        x ^= x << 23;
+        _s1 = x ^ y ^ (x >> 17) ^ (y >> 26);
+        return _s1 + y;
+    }
 
     /** Uniform integer in [0, bound) using Lemire's multiply-shift. */
-    std::uint64_t nextBounded(std::uint64_t bound);
+    std::uint64_t
+    nextBounded(std::uint64_t bound)
+    {
+        if (bound <= 1)
+            return 0;
+        // The tiny modulo bias is irrelevant for workload synthesis.
+        return static_cast<std::uint64_t>(
+            (static_cast<__uint128_t>(next()) * bound) >> 64);
+    }
 
     /** Uniform double in [0, 1). */
     double nextDouble();
@@ -50,6 +67,12 @@ class Rng
   private:
     std::uint64_t _s0;
     std::uint64_t _s1;
+    /**
+     * nextGeometric's log1p(-p) for the mean it last saw: a generator
+     * draws with one mean, so the logarithm is taken once.
+     */
+    double _geomMean = -1.0;
+    double _geomLogQ = 0.0;
 
     /** splitmix64 used to expand the single seed into state. */
     static std::uint64_t splitmix64(std::uint64_t &x);

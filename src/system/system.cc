@@ -68,14 +68,15 @@ System::run()
     // End-of-life: once fault injection has killed enough lines to
     // reach the configured capacity floor, stop the run gracefully
     // and report what was measured — never assert or abort on a
-    // memory that wore out. Polled every 1024 events to keep the
-    // check off the hot path.
+    // memory that wore out. Checked after every event, so the stop
+    // point is the event that crossed the floor, whatever span of
+    // ticks an event covers; with no floor configured the check ends
+    // at its first compare.
     bool capacity_exhausted = false;
-    std::uint64_t steps = 0;
     while (!_core->done()) {
         if (!_eventq.step())
             break;
-        if ((++steps & 0x3FF) == 0 && _memory->capacityFloorReached()) {
+        if (_memory->capacityFloorReached()) {
             capacity_exhausted = true;
             break;
         }

@@ -329,3 +329,59 @@ TEST(EventQueue, StressAgainstMultimapReference)
     EXPECT_EQ(firedOrder, expect);
     EXPECT_EQ(eq.numPending(), 0u);
 }
+
+// --- Batched handlers: horizon() and advanceTo() -----------------------
+
+TEST(EventQueue, HorizonIsTheEarliestPendingTick)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.horizon(), MaxTick);
+    eq.schedule(40, [] {});
+    eq.schedule(25, [] {});
+    EXPECT_EQ(eq.horizon(), 25u);
+}
+
+TEST(EventQueue, HorizonIsBoundedByTheActiveRunStop)
+{
+    EventQueue eq;
+    std::vector<Tick> seen;
+    eq.schedule(10, [&] { seen.push_back(eq.horizon()); });
+    eq.schedule(100, [&] { seen.push_back(eq.horizon()); });
+    eq.run(50);
+    EXPECT_EQ(eq.horizon(), 100u); // no run() active: stop bound gone
+    ASSERT_TRUE(eq.step());
+    ASSERT_EQ(seen.size(), 2u);
+    EXPECT_EQ(seen[0], 50u);      // run(50): next event is at 100
+    EXPECT_EQ(seen[1], MaxTick);  // step(): nothing else pending
+}
+
+TEST(EventQueue, AdvanceToMovesTimeInsideAnEvent)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    eq.schedule(10, [&] {
+        eq.advanceTo(10); // the current tick itself is allowed
+        eq.advanceTo(29);
+        fired.push_back(eq.curTick());
+        eq.schedule(eq.curTick(), [&] { fired.push_back(eq.curTick()); });
+    });
+    eq.schedule(30, [&] { fired.push_back(eq.curTick()); });
+    eq.run();
+    EXPECT_EQ(fired, (std::vector<Tick>{29, 29, 30}));
+}
+
+TEST(EventQueue, AdvanceToOutsideTheHorizonPanics)
+{
+    EventQueue eq;
+    bool checked = false;
+    eq.schedule(10, [&] {
+        EXPECT_THROW(eq.advanceTo(9), PanicError);  // the past
+        EXPECT_THROW(eq.advanceTo(30), PanicError); // at the next event
+        EXPECT_THROW(eq.advanceTo(20), PanicError); // at the run stop
+        checked = true;
+    });
+    eq.schedule(30, [] {});
+    eq.run(20);
+    EXPECT_TRUE(checked);
+    EXPECT_EQ(eq.curTick(), 20u);
+}

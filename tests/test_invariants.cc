@@ -10,9 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "check/check_config.hh"
@@ -624,4 +626,27 @@ TEST(SystemChecks, AllocationCounterIsCompiledIn)
     EXPECT_GT(alloccounter::allocations(), allocs);
     ::operator delete(p);
     EXPECT_GT(alloccounter::deallocations(), frees);
+}
+
+TEST(SystemChecks, AllocationCounterIsPerThread)
+{
+    // The worker waits for the caller's snapshot: std::thread's own
+    // start-up allocation is the caller's, and must come before it.
+    std::atomic<bool> go{false};
+    std::uint64_t workerAllocs = 0;
+    std::thread worker([&go, &workerAllocs] {
+        while (!go.load())
+            std::this_thread::yield();
+        const std::uint64_t before = alloccounter::allocations();
+        for (int i = 0; i < 1000; ++i)
+            ::operator delete(::operator new(sizeof(int)));
+        workerAllocs = alloccounter::allocations() - before;
+    });
+    const std::uint64_t allocs = alloccounter::allocations();
+    const std::uint64_t frees = alloccounter::deallocations();
+    go.store(true);
+    worker.join();
+    EXPECT_EQ(workerAllocs, 1000u);
+    EXPECT_EQ(alloccounter::allocations(), allocs);
+    EXPECT_EQ(alloccounter::deallocations(), frees);
 }

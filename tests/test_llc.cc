@@ -168,6 +168,88 @@ TEST(Llc, WastedEagerWriteDetected)
     EXPECT_EQ(f.llc.stats().eagerWasted.value(), 1u);
 }
 
+namespace
+{
+
+/** How EagerScanIsIndependentOfRunChunking advances time. */
+enum class Drive
+{
+    OneRun,
+    MicrosecondRuns,
+    Steps,
+};
+
+/** Counters the chunking test compares. */
+struct ScanOutcome
+{
+    std::uint64_t scans;
+    std::uint64_t sent;
+    std::uint64_t dirty;
+    friend bool operator==(const ScanOutcome &,
+                           const ScanOutcome &) = default;
+};
+
+/**
+ * Make every position useless, then for 50 us add a dirty line and
+ * touch an older one at every microsecond boundary. MicrosecondRuns
+ * makes those changes between run() calls; the other drives make
+ * them from events scheduled at the same ticks.
+ */
+ScanOutcome
+scanOver50us(Drive drive)
+{
+    Fixture f(beMellow().withSC(), true);
+    for (int i = 0; i < 100; ++i)
+        f.llc.access(LogicalAddr(static_cast<Addr>(i + 1000) * kBlockSize),
+                     false);
+    f.eq.run(f.eq.curTick() + 510 * kMicrosecond + 1);
+    EXPECT_EQ(f.llc.profiler().uselessFrom(), 0u);
+
+    constexpr int kChunks = 50;
+    const Tick start = f.eq.curTick();
+    const Tick end = start + kChunks * kMicrosecond;
+    auto poke = [&f](int k) {
+        f.llc.writebackFromUpper(LogicalAddr((k * 5 + 1) * kBlockSize));
+        if (k >= 3)
+            f.llc.access(LogicalAddr(((k - 3) * 5 + 1) * kBlockSize),
+                         false);
+    };
+    bool ended = false;
+    f.eq.schedule(end, [&ended] { ended = true; });
+    if (drive == Drive::MicrosecondRuns) {
+        for (int k = 0; k < kChunks; ++k) {
+            poke(k);
+            f.eq.run(start + (k + 1) * kMicrosecond);
+        }
+    } else {
+        for (int k = 0; k < kChunks; ++k)
+            f.eq.schedule(start + k * kMicrosecond, [&poke, k] { poke(k); });
+        if (drive == Drive::OneRun) {
+            f.eq.run(end);
+        } else {
+            while (!ended && f.eq.step()) {
+            }
+        }
+    }
+    EXPECT_EQ(f.eq.curTick(), end);
+    return {f.llc.stats().eagerScans.value(),
+            f.llc.stats().eagerSent.value(),
+            f.llc.array().countDirtyLines()};
+}
+
+} // namespace
+
+TEST(Llc, EagerScanIsIndependentOfRunChunking)
+{
+    // A batched scan firing covers ticks up to the queue's horizon; a
+    // caller that changes the LLC between run() calls relies on the
+    // run's stop tick bounding that horizon.
+    const ScanOutcome one = scanOver50us(Drive::OneRun);
+    EXPECT_GT(one.sent, 10u);
+    EXPECT_EQ(scanOver50us(Drive::MicrosecondRuns), one);
+    EXPECT_EQ(scanOver50us(Drive::Steps), one);
+}
+
 TEST(Llc, PrimeWarmsWithoutStatsOrTraffic)
 {
     Fixture f(norm(), false);

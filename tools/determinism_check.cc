@@ -36,8 +36,9 @@
  * The --golden mode pins behaviour across *builds*, not just across
  * runs of one build: it runs a fixed matrix (every generator under
  * Norm and BE-Mellow+SC+WQ, plus one fault-injection run, one SoftWear
- * run, one WoLFRaM run, one 4-channel run and one run per shipped
- * device config, each 500K instructions after a 50K warm-up) and
+ * run, one WoLFRaM run, one 4-channel run, one run per shipped device
+ * config and one run that ends capacity-exhausted, each 500K
+ * instructions after a 50K warm-up) and
  * byte-compares the concatenated fingerprints against a committed
  * file (tests/golden/fingerprints.txt). With "-" as the file the
  * matrix is written to stdout instead, which is how the file is
@@ -345,6 +346,27 @@ runGoldenMode(const std::string &path)
         matrix.emplace_back("stream BE-Mellow+SC+WQ device " + device, cfg);
     }
     setDeviceOverride("");
+    {
+        // A memory that wears out, set up like examples/leveler_zoo:
+        // 64 MiB, lognormal (sigma 1.0) endurance at scale 2e-7 and a
+        // capacity floor of 0.999. Tiny caches send writes to memory
+        // within the short run, and with no repair entries or spares
+        // a line dies at its first permanent fault, so the run ends
+        // capacity-exhausted. Pins the exact event at which
+        // System::run stops.
+        SystemConfig cfg = base("gups", "BE-Mellow+SC");
+        cfg.memory.geometry.capacityBytes = 64ull << 20;
+        cfg.hierarchy.l1.sizeBytes = 4 * 1024;
+        cfg.hierarchy.l2.sizeBytes = 8 * 1024;
+        cfg.hierarchy.llc.cache.sizeBytes = 16 * 1024;
+        cfg.memory.fault.enabled = true;
+        cfg.memory.fault.enduranceSigma = 1.0;
+        cfg.memory.fault.enduranceScale = 2e-7;
+        cfg.memory.fault.repairEntriesPerLine = 0;
+        cfg.memory.fault.spareLinesPerBank = 0;
+        cfg.memory.fault.capacityFloorFraction = 0.999;
+        matrix.emplace_back("gups BE-Mellow+SC capacity-exhausted", cfg);
+    }
 
     std::string actual;
     for (const auto &[label, cfg] : matrix) {
