@@ -1,26 +1,16 @@
 /**
  * @file
- * Concurrency primitives and capability annotations for mellowsim.
+ * Concurrency primitives for mellowsim.
  *
  * This header is the ONLY sanctioned home of raw standard-library
  * synchronization primitives (std::mutex, std::thread, ...);
  * tools/mellow_lint.py's `raw-sync-primitive` rule rejects them
  * anywhere else. Everything that shares state across threads goes
- * through these wrappers, for two reasons:
- *
- *  1. The wrappers carry Clang Thread Safety Analysis attributes
- *     (https://clang.llvm.org/docs/ThreadSafetyAnalysis.html), so a
- *     Clang build with MELLOWSIM_THREAD_SAFETY=ON (the `thread-safety`
- *     preset, errors in CI) statically proves that every access to a
- *     MELLOW_GUARDED_BY field happens with its mutex held. Under
- *     other compilers the attributes expand to nothing and the
- *     wrappers are zero-cost forwarding shims.
- *
- *  2. They give the confinement analysis
- *     (tools/analyze/confinement.toml) a closed vocabulary of
- *     "synchronized" types: mutable state shared across threads must
- *     be one of these types (or std::atomic / thread_local), or the
- *     `confinement-global` rule flags it.
+ * through these wrappers, so the confinement analysis
+ * (tools/analyze/confinement.toml) has a closed vocabulary of
+ * "synchronized" types: mutable state shared across threads must be
+ * one of these types (or std::atomic / thread_local), or the
+ * `confinement-global` rule flags it.
  *
  * The concurrency model itself (each System is confined to one sweep
  * worker; what is shared immutable; what must be synchronized) is
@@ -33,130 +23,41 @@
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <mutex>
 #include <thread>
 #include <utility>
 #include <vector>
 
-// --- Clang Thread Safety Analysis attribute macros -------------------
-//
-// MELLOW_-prefixed so they cannot collide with other libraries'
-// spellings of the same attributes. No-ops on compilers without the
-// capability attribute family (GCC, MSVC).
-
-#if defined(__clang__) && defined(__has_attribute)
-#if __has_attribute(capability)
-#define MELLOW_THREAD_ANNOTATION(x) __attribute__((x))
-#endif
-#endif
-#ifndef MELLOW_THREAD_ANNOTATION
-#define MELLOW_THREAD_ANNOTATION(x)
-#endif
-
-/** Marks a class as a lockable capability (e.g. a mutex type). */
-#define MELLOW_CAPABILITY(x) MELLOW_THREAD_ANNOTATION(capability(x))
-
-/** Marks an RAII class that acquires in its ctor, releases in dtor. */
-#define MELLOW_SCOPED_CAPABILITY MELLOW_THREAD_ANNOTATION(scoped_lockable)
-
-/** Field may only be accessed while holding @p x. */
-#define MELLOW_GUARDED_BY(x) MELLOW_THREAD_ANNOTATION(guarded_by(x))
-
-/** Pointee may only be accessed while holding @p x. */
-#define MELLOW_PT_GUARDED_BY(x) MELLOW_THREAD_ANNOTATION(pt_guarded_by(x))
-
-/** Caller must hold the given capabilities to call this function. */
-#define MELLOW_REQUIRES(...) \
-    MELLOW_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-
-/** Function acquires the given capabilities (and doesn't release). */
-#define MELLOW_ACQUIRE(...) \
-    MELLOW_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-
-/** Function releases the given capabilities. */
-#define MELLOW_RELEASE(...) \
-    MELLOW_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-
-/** Function acquires the capability when it returns @p result. */
-#define MELLOW_TRY_ACQUIRE(...) \
-    MELLOW_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-/** Caller must NOT hold the given capabilities (deadlock guard). */
-#define MELLOW_EXCLUDES(...) \
-    MELLOW_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-/** Escape hatch; every use needs a comment explaining why. */
-#define MELLOW_NO_THREAD_SAFETY_ANALYSIS \
-    MELLOW_THREAD_ANNOTATION(no_thread_safety_analysis)
-
 namespace mellowsim::sync
 {
 
-/**
- * Plain mutual-exclusion capability wrapping std::mutex.
- *
- * Use together with MELLOW_GUARDED_BY on the state it protects and
- * LockGuard for scoped acquisition; bare lock()/unlock() pairs are for
- * the rare site an RAII scope cannot express.
- */
-class MELLOW_CAPABILITY("mutex") Mutex
+/** Plain mutual exclusion wrapping std::mutex; acquire it through
+ * LockGuard. */
+class Mutex
 {
   public:
     Mutex() = default;
     Mutex(const Mutex &) = delete;
     Mutex &operator=(const Mutex &) = delete;
 
-    void lock() MELLOW_ACQUIRE() { _mutex.lock(); }
-    void unlock() MELLOW_RELEASE() { _mutex.unlock(); }
-    [[nodiscard]] bool tryLock() MELLOW_TRY_ACQUIRE(true)
-    {
-        return _mutex.try_lock();
-    }
+    void lock() { _mutex.lock(); }
+    void unlock() { _mutex.unlock(); }
 
   private:
     std::mutex _mutex;
 };
 
 /** Scoped acquisition of a Mutex (RAII std::lock_guard equivalent). */
-class MELLOW_SCOPED_CAPABILITY LockGuard
+class LockGuard
 {
   public:
-    explicit LockGuard(Mutex &mutex) MELLOW_ACQUIRE(mutex) : _mutex(mutex)
-    {
-        _mutex.lock();
-    }
-    ~LockGuard() MELLOW_RELEASE() { _mutex.unlock(); }
+    explicit LockGuard(Mutex &mutex) : _mutex(mutex) { _mutex.lock(); }
+    ~LockGuard() { _mutex.unlock(); }
     LockGuard(const LockGuard &) = delete;
     LockGuard &operator=(const LockGuard &) = delete;
 
   private:
     Mutex &_mutex;
-};
-
-/**
- * Monotonic event tally safe to bump from any thread.
- *
- * Relaxed ordering: the count is a statistic, not a synchronization
- * point — readers only ever see it quiescent (after a join) or accept
- * an instantaneous sample (the allocation counter's steady-state
- * delta check).
- */
-class RelaxedCounter
-{
-  public:
-    void increment() { _value.fetch_add(1, std::memory_order_relaxed); }
-    void add(std::uint64_t n)
-    {
-        _value.fetch_add(n, std::memory_order_relaxed);
-    }
-    [[nodiscard]] std::uint64_t value() const
-    {
-        return _value.load(std::memory_order_relaxed);
-    }
-
-  private:
-    std::atomic<std::uint64_t> _value{0};
 };
 
 /**

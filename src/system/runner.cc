@@ -4,7 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
+#include <exception>
 
 #include "config/device_config.hh"
 #include "sim/logging.hh"
@@ -27,44 +27,6 @@ envInstrs(const char *name, std::uint64_t fallback)
     fatal_if(parsed == 0, "%s must be positive", name);
     return parsed;
 }
-
-/**
- * Deterministic first-error collection across sweep workers.
- *
- * Workers record (sweep index, exception) and keep draining the queue;
- * rethrow() surfaces the error with the LOWEST sweep index, so the
- * reported failure is the one a serial sweep would have hit first —
- * independent of which worker thread happened to fault first.
- */
-class ErrorCollector
-{
-  public:
-    void
-    record(std::size_t index, std::exception_ptr error)
-    {
-        sync::LockGuard guard(_mutex);
-        if (index < _firstIndex) {
-            _firstIndex = index;
-            _firstError = error;
-        }
-    }
-
-    /** Rethrow the lowest-index recorded error, if any. Call only
-     * after every worker has been joined. */
-    void
-    rethrow()
-    {
-        sync::LockGuard guard(_mutex);
-        if (_firstError)
-            std::rethrow_exception(_firstError);
-    }
-
-  private:
-    sync::Mutex _mutex;
-    std::size_t _firstIndex MELLOW_GUARDED_BY(_mutex) =
-        std::numeric_limits<std::size_t>::max();
-    std::exception_ptr _firstError MELLOW_GUARDED_BY(_mutex);
-};
 
 /** Process-wide device selection; set before sweeps, read by
  * makeConfig on the main thread only. */
@@ -172,11 +134,14 @@ runConfigs(std::vector<SystemConfig> configs, unsigned jobs)
     }
 
     // Each System is fully isolated, so a simple work-stealing index
-    // preserves bit-identical results in deterministic slots. Workers
-    // keep draining after an error so the collector can pick the
-    // lowest-index failure rather than the first to arrive.
+    // preserves bit-identical results in deterministic slots. A worker
+    // parks a failure in its own entry's slot and keeps draining, so
+    // the scan after the join finds the lowest-index failure, the one
+    // a serial sweep would have hit first. The join orders every slot
+    // write before that scan; no lock is needed. The slots outlive the
+    // ThreadGroup scope, whose destructor joins even if spawn() throws.
     sync::TicketCounter next;
-    ErrorCollector errors;
+    std::vector<std::exception_ptr> errors(configs.size());
     auto worker = [&] {
         for (;;) {
             std::size_t i = next.take();
@@ -185,7 +150,7 @@ runConfigs(std::vector<SystemConfig> configs, unsigned jobs)
             try {
                 reports[i] = runSystem(configs[i]);
             } catch (...) {
-                errors.record(i, std::current_exception());
+                errors[i] = std::current_exception();
             }
         }
     };
@@ -195,10 +160,11 @@ runConfigs(std::vector<SystemConfig> configs, unsigned jobs)
         sync::ThreadGroup threads(n);
         for (unsigned t = 0; t < n; ++t)
             threads.spawn(worker);
-        // ThreadGroup's destructor joins, so an exception from
-        // spawn() cannot leak already-running workers.
     }
-    errors.rethrow();
+    for (const std::exception_ptr &error : errors) {
+        if (error)
+            std::rethrow_exception(error);
+    }
     return reports;
 }
 

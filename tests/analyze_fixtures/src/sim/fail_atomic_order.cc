@@ -1,19 +1,14 @@
 // analyze-expect: atomic-order
-// Raw atomic spellings outside the sync.hh wrapper home, plus a
-// RelaxedCounter read steering control flow. Relaxed loads carry no
-// happens-before edge, so the branch below can diverge between runs
-// even when the counter's final value is deterministic.
+// Raw atomic spellings outside the sync.hh wrapper home. Each wrapper
+// there documents the ordering it relies on; a bare std::atomic
+// elsewhere carries no such argument.
 #include <atomic>
 #include <cstdint>
-
-#include "sim/sync.hh"
 
 namespace
 {
 
 std::atomic<std::uint64_t> g_spins{0};
-
-sync::RelaxedCounter g_throttleHits;
 
 } // namespace
 
@@ -21,12 +16,4 @@ std::uint64_t
 spinSample()
 {
     return g_spins.load(std::memory_order_acquire);
-}
-
-bool
-shouldThrottle()
-{
-    if (g_throttleHits.value() > 64)
-        return true;
-    return false;
 }

@@ -16,7 +16,7 @@ std::uint64_t g_eventsDispatched = 0;
 // mlint: allow(atomic-order): raw-atomic exemplar for the exemption list
 std::atomic<std::uint64_t> g_allocSamples{0};
 
-mellowsim::sync::RelaxedCounter g_retries;
+mellowsim::sync::TicketCounter g_retries;
 
 const char *const kBannerText = "mellowsim";
 
@@ -29,6 +29,6 @@ bumpDispatchCount()
     warnedOnce = true;
     ++g_eventsDispatched;
     g_allocSamples.fetch_add(1);
-    g_retries.increment();
+    (void)g_retries.take();
     return g_eventsDispatched;
 }

@@ -1,8 +1,7 @@
 // mellow_lint fixture: every raw counting/rendezvous primitive below
 // must trip raw-sync-primitive (the registered ctest is WILL_FAIL).
 // Workers are joined through sync::ThreadGroup; ad-hoc semaphores,
-// latches and barriers have no capability annotations and no analyzer
-// vocabulary.
+// latches and barriers have no analyzer vocabulary.
 #include <barrier>
 #include <latch>
 #include <semaphore>

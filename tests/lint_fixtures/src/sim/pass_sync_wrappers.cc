@@ -1,5 +1,5 @@
-// mellow_lint fixture: the sanctioned spellings — capability-annotated
-// sync.hh wrappers — must stay clean under the same src/-scoped rules
+// mellow_lint fixture: the sanctioned spellings — the sync.hh
+// wrappers — must stay clean under the same src/-scoped rules
 // that reject the raw primitives next door. Without this control a
 // blanket-matching regex could pass the WILL_FAIL sibling vacuously.
 #include "sim/sync.hh"

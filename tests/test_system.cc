@@ -333,6 +333,32 @@ TEST(System, RunnerGridAndLookups)
     EXPECT_LE(ratio, 1.001);
 }
 
+TEST(System, ParallelSweepRethrowsLowestIndexFailure)
+{
+    // Entries 1 and 4 fail at construction. Whatever order the workers
+    // reach them in, the sweep must report entry 1, the failure a
+    // serial sweep hits first.
+    std::vector<SystemConfig> configs;
+    for (const char *name :
+         {"gups", "bogus1", "milc", "stream", "bogus4", "mcf"}) {
+        SystemConfig cfg = quickConfig(name, norm(), 20'000);
+        cfg.warmupInstructions = 10'000;
+        configs.push_back(cfg);
+    }
+    for (unsigned jobs : {1u, 2u, 8u}) {
+        try {
+            runConfigs(configs, jobs);
+            ADD_FAILURE() << "jobs=" << jobs << ": no error";
+        } catch (const FatalError &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("bogus1"), std::string::npos)
+                << "jobs=" << jobs << ": " << what;
+            EXPECT_EQ(what.find("bogus4"), std::string::npos)
+                << "jobs=" << jobs << ": " << what;
+        }
+    }
+}
+
 TEST(System, CsvAndTableRender)
 {
     auto reports = runGrid({"gups"}, {norm()}, [](SystemConfig &cfg) {

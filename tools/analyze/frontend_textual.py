@@ -48,11 +48,7 @@ DEF_NAME_RE = re.compile(r"^\s*(?:[A-Za-z_]\w*::)?([A-Za-z_]\w*)\s*\(")
 VALUE_ON_CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\([^()]*\)\s*\.\s*value\s*\(\s*\)")
 VALUE_ON_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*\.\s*value\s*\(\s*\)")
 
-#: The optional MELLOW_* group skips capability-annotation macros
-#: (src/sim/sync.hh): `class MELLOW_CAPABILITY("mutex") Mutex`.
-CLASS_RE = re.compile(
-    r"^\s*(?:class|struct)\s+"
-    r"(?:MELLOW_\w+\s*(?:\([^)]*\)\s*)?)?([A-Za-z_]\w*)")
+CLASS_RE = re.compile(r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)")
 
 CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\(")
 CALL_KEYWORDS = frozenset(

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """mellow-analyze — semantic static analysis for mellowsim.
 
-Eight rules the regex lint (tools/mellow_lint.py) cannot
+Seven rules the regex lint (tools/mellow_lint.py) cannot
 express:
 
   value-escape      .value() on a strong type outside whitelisted
@@ -22,12 +22,8 @@ one sweep worker):
 and the parallel-protocol family driven by
 tools/analyze/protocol.toml:
 
-  lock-order        a cycle in the whole-program lock-acquisition
-                    graph built from LockGuard / MELLOW_REQUIRES
-                    sites (a static deadlock)
   atomic-order      raw std::atomic / std::memory_order spellings
-                    outside src/sim/sync.hh, or a RelaxedCounter
-                    read feeding control flow instead of stats
+                    outside src/sim/sync.hh
   handler-blocking  a mutex acquisition or blocking call reachable
                     from an EventQueue::schedule handler
 
@@ -151,12 +147,16 @@ def _run_rules(project, layers: dict, whitelists: dict,
 def _self_test(fixture_root: str, files: dict[str, list[str]],
                findings: list[Finding], enabled: list[str],
                only_rules: set[str]) -> int:
-    """Check `// analyze-expect:` directives; returns the exit code."""
+    """Check `// analyze-expect:` directives; returns the exit code.
+
+    A full run (no --only-rule) also fails when some rule has no
+    fixture, so the rule list and the fixture tree cannot drift."""
     by_file: dict[str, list[Finding]] = {}
     for f in findings:
         by_file.setdefault(f.file, []).append(f)
 
     failures = []
+    declared: set[str] = set()
     checked = 0
     for path, lines in sorted(files.items()):
         if not path.endswith(".cc"):
@@ -169,6 +169,7 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
             failures.append(f"{path}: unknown analyze-expect rule "
                             f"'{expect}'")
             continue
+        declared.add(expect)
         if only_rules and expect != "none" and expect not in only_rules:
             continue  # per-rule run: fixture out of scope
         checked += 1
@@ -195,12 +196,17 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
         print(f"mellow-analyze: self-test found no fixtures under "
               f"{fixture_root}", file=sys.stderr)
         return 2
+    uncovered = [] if only_rules else [
+        r for r in ALL_RULES if r not in declared]
     for failure in failures:
         print(f"self-test FAIL: {failure}")
+    for rule in uncovered:
+        print(f"self-test FAIL: no fixture declares "
+              f"`// analyze-expect: {rule}`")
     print(f"mellow-analyze self-test: {checked - len(set(f.split(':')[0] for f in failures))}"
           f"/{checked} fixtures ok "
           f"(rules: {', '.join(enabled) if enabled else 'none'})")
-    return 1 if failures else 0
+    return 1 if failures or uncovered else 0
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -35,7 +35,6 @@ RULE_REQUEST_LIFETIME = "request-lifetime"
 #: Confinement rule (tools/analyze/confinement.toml).
 RULE_CONFINEMENT_GLOBAL = "confinement-global"
 #: Parallel-protocol family (tools/analyze/protocol.toml).
-RULE_LOCK_ORDER = "lock-order"
 RULE_ATOMIC_ORDER = "atomic-order"
 RULE_HANDLER_BLOCKING = "handler-blocking"
 
@@ -45,7 +44,6 @@ ALL_RULES = (
     RULE_NONDET_HANDLER,
     RULE_REQUEST_LIFETIME,
     RULE_CONFINEMENT_GLOBAL,
-    RULE_LOCK_ORDER,
     RULE_ATOMIC_ORDER,
     RULE_HANDLER_BLOCKING,
 )

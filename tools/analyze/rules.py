@@ -74,11 +74,8 @@ def _collect_symbols(project: Project, src_root: str) -> dict:
     """Top-level type/alias names per module from header files.
     Returns name -> (module, header-path-as-included)."""
     defs: dict[str, set[tuple[str, str]]] = defaultdict(set)
-    # The optional MELLOW_* group skips capability-annotation macros
-    # (src/sim/sync.hh): `class MELLOW_CAPABILITY("mutex") Mutex`.
     type_re = re.compile(
-        r"^(?:class|struct|enum\s+class|enum)\s+"
-        r"(?:MELLOW_\w+\s*(?:\([^)]*\)\s*)?)?([A-Z]\w*)")
+        r"^(?:class|struct|enum\s+class|enum)\s+([A-Z]\w*)")
     alias_re = re.compile(r"^using\s+([A-Z]\w*)\s*=")
     for path, lines in project.files.items():
         if not path.endswith(".hh"):
@@ -489,12 +486,10 @@ def check_confinement_global(project: Project, confinement: dict,
 from rules_protocol import (  # noqa: E402
     check_atomic_order,
     check_handler_blocking,
-    check_lock_order,
 )
 from model import (  # noqa: E402
     RULE_ATOMIC_ORDER,
     RULE_HANDLER_BLOCKING,
-    RULE_LOCK_ORDER,
 )
 
 RULE_CHECKERS = {
@@ -513,9 +508,6 @@ RULE_CHECKERS = {
     RULE_CONFINEMENT_GLOBAL:
         lambda project, layers, wl, conf, proto:
             check_confinement_global(project, conf),
-    RULE_LOCK_ORDER:
-        lambda project, layers, wl, conf, proto:
-            check_lock_order(project, proto),
     RULE_ATOMIC_ORDER:
         lambda project, layers, wl, conf, proto:
             check_atomic_order(project, proto),

@@ -30,14 +30,9 @@ _RULE_DESCRIPTIONS = {
         "Mutable static-storage state that is not std::atomic, a "
         "sync.hh type, thread_local or const races under the parallel "
         "sweep (tools/analyze/confinement.toml [global]).",
-    "lock-order":
-        "A cycle in the whole-program lock-acquisition graph built "
-        "from LockGuard scopes and MELLOW_REQUIRES annotations: a "
-        "static deadlock (tools/analyze/protocol.toml [lock_order]).",
     "atomic-order":
         "A raw std::atomic / std::memory_order spelling outside the "
-        "sync.hh wrapper home, or a RelaxedCounter read feeding "
-        "control flow instead of statistics "
+        "sync.hh wrapper home "
         "(tools/analyze/protocol.toml [atomic_order]).",
     "handler-blocking":
         "A mutex acquisition or blocking call reachable from an "

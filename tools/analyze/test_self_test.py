@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Unit tests for the analyzer's fixture self-test (mellow_analyze.py).
+
+The committed fixture tree must pass, and a copy of it missing the
+fixture of any one rule must fail: a rule cannot lose its fixture, nor
+a fixture its rule, without the self-test noticing.
+
+Run directly (`python3 tools/analyze/test_self_test.py`) or via the
+`analyze.self_test_unit` ctest entry.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import os
+import shutil
+import sys
+import tempfile
+import unittest
+
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
+
+import mellow_analyze  # noqa: E402
+from model import ALL_RULES  # noqa: E402
+
+FIXTURES = os.path.join(mellow_analyze.REPO_ROOT, "tests",
+                        "analyze_fixtures")
+
+
+def _self_test(tree: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return mellow_analyze.main(["--self-test", tree])
+
+
+class FixtureCoverageTest(unittest.TestCase):
+    def test_committed_tree_passes(self):
+        self.assertEqual(_self_test(FIXTURES), 0)
+
+    def test_tree_missing_one_rule_fixture_fails(self):
+        for rule in ALL_RULES:
+            with self.subTest(rule=rule), \
+                    tempfile.TemporaryDirectory() as tmp:
+                tree = os.path.join(tmp, "fixtures")
+                shutil.copytree(FIXTURES, tree)
+                removed = 0
+                for dirpath, _dirs, names in os.walk(tree):
+                    for name in names:
+                        path = os.path.join(dirpath, name)
+                        with open(path, encoding="utf-8") as fh:
+                            m = mellow_analyze.EXPECT_RE.search(
+                                fh.readline())
+                        if m and m.group(1) == rule:
+                            os.remove(path)
+                            removed += 1
+                self.assertGreater(removed, 0)
+                self.assertEqual(_self_test(tree), 1)
+
+
+if __name__ == "__main__":
+    unittest.main()

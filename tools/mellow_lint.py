@@ -46,11 +46,10 @@ Checks project conventions that clang-tidy cannot express:
   raw-sync-primitive  Raw standard-library synchronization primitives
                       (std::mutex, std::thread, std::lock_guard, ...)
                       outside src/sim/sync.hh. The sync.hh wrappers
-                      carry the Clang thread-safety capability
-                      annotations and are the vocabulary the
-                      confinement analysis trusts; a raw primitive is
-                      invisible to both. (std::atomic is fine — it is
-                      part of the sanctioned vocabulary.)
+                      are the vocabulary the confinement analysis
+                      trusts; a raw primitive is invisible to it.
+                      (std::atomic is fine — it is part of the
+                      sanctioned vocabulary.)
 
 Suppress a finding with the shared annotation syntax (parsed by
 tools/analyze/suppress.py, the same module mellow-analyze uses): a
@@ -283,7 +282,7 @@ class Linter:
                     self.report(
                         path, lineno, "raw-sync-primitive",
                         f"{m.group(0)} outside sim/sync.hh; use the "
-                        "capability-annotated wrappers (sync::Mutex, "
+                        "sync.hh wrappers (sync::Mutex, "
                         "sync::LockGuard, sync::ThreadGroup, "
                         "sync::TicketCounter)",
                     )
