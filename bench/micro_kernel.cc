@@ -1,26 +1,22 @@
 /**
  * @file
- * Simulation-kernel microbenchmark: the permanent perf harness for
- * the event kernel and the controller request path.
+ * Event-kernel and request-queue loop timings: the hot loops that
+ * perfbench's whole-system workloads cannot isolate.
  *
- * Prints machine-parseable `perf.<metric> <value>` lines consumed by
- * tools/perf_report.py, which records them in BENCH_perf.json so every
- * PR can be judged against the benchmark trajectory:
+ * Prints machine-parseable `perf.<metric> <value>` lines that
+ * tools/perf_report.py records in BENCH_perf.json:
  *
  *   perf.event.ns_per_event        host ns per fired event
- *   perf.event.events_per_sec      schedule+fire throughput
- *   perf.event.steady_allocs       heap allocations during the timed
- *                                  steady-state loop
  *   perf.cancel.ns_per_op          schedule+deschedule churn cost
- *   perf.cancel.steady_allocs      ditto for the cancel churn loop
  *   perf.rq.ns_per_op              request-queue push/pop/index cost
- *   perf.rq.steady_allocs          ditto for the queue churn loop
- *   perf.system.sim_ticks_per_host_sec
- *   perf.system.instrs_per_host_sec
  *
- * Scaling knobs (environment):
- *   MELLOWSIM_PERF_EVENTS  events in the timed kernel loop (def 2e6)
- *   MELLOWSIM_INSTRS       instructions for the System slice (def 1e6)
+ * That the timed loops allocate nothing at steady state is checked by
+ * the EventQueue.SteadyState* and RequestQueue.SteadyStateChurn*
+ * tests, not here.
+ *
+ * Scaling knob (environment):
+ *   MELLOWSIM_PERF_EVENTS  events in the timed kernel loop (def
+ *                          2000000; must be a positive integer)
  *
  * Only the public kernel API is used, so the binary benchmarks any
  * kernel implementation unchanged — the before/after numbers in
@@ -33,14 +29,10 @@
 #include <cstdlib>
 #include <vector>
 
-#include "bench_util.hh"
-#include "mellow/policy.hh"
 #include "nvm/queues.hh"
-#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
-#include "system/report.hh"
-#include "system/system.hh"
+#include "system/runner.hh"
 
 using namespace mellowsim;
 
@@ -56,12 +48,15 @@ secondsSince(Clock::time_point start)
 }
 
 std::uint64_t
-envCount(const char *name, std::uint64_t dflt)
+envEvents()
 {
+    const char *name = "MELLOWSIM_PERF_EVENTS";
     const char *v = std::getenv(name);
     if (v == nullptr || *v == '\0')
-        return dflt;
-    return static_cast<std::uint64_t>(std::strtod(v, nullptr));
+        return 2'000'000;
+    std::uint64_t parsed = parseCount(v, name);
+    fatal_if(parsed == 0, "%s must be positive", name);
+    return parsed;
 }
 
 void
@@ -70,20 +65,11 @@ metric(const char *name, double value)
     std::printf("perf.%s %.6g\n", name, value);
 }
 
-std::int64_t
-allocDelta(std::uint64_t before)
-{
-    return static_cast<std::int64_t>(alloccounter::allocations() -
-                                     before);
-}
-
 /**
  * Event-kernel throughput: a fixed population of self-rescheduling
  * chains, the shape of the controller's completion/retry events. Each
  * fire schedules one successor, so the pending population (and the
- * kernel's internal storage) is constant — any allocation in the
- * timed region is a steady-state allocation on the schedule/fire
- * path.
+ * kernel's internal storage) is constant.
  */
 void
 benchEventKernel(std::uint64_t totalEvents)
@@ -124,7 +110,6 @@ benchEventKernel(std::uint64_t totalEvents)
     eq.run();
 
     fired = 0;
-    std::uint64_t allocs0 = alloccounter::allocations();
     Clock::time_point t0 = Clock::now();
     for (unsigned c = 0; c < kChains; ++c) {
         eq.scheduleIn(1 + c % 7,
@@ -133,12 +118,9 @@ benchEventKernel(std::uint64_t totalEvents)
     }
     eq.run();
     double secs = secondsSince(t0);
-    std::int64_t allocs = allocDelta(allocs0);
 
-    double events = static_cast<double>(fired);
-    metric("event.ns_per_event", secs * 1e9 / events);
-    metric("event.events_per_sec", events / secs);
-    metric("event.steady_allocs", static_cast<double>(allocs));
+    metric("event.ns_per_event",
+           secs * 1e9 / static_cast<double>(fired));
     if (sink == 0)
         std::printf("# sink %llu\n",
                     static_cast<unsigned long long>(sink));
@@ -173,15 +155,12 @@ benchScheduleCancel(std::uint64_t totalOps)
 
     churn(totalOps / 10 + kSlots);
 
-    std::uint64_t allocs0 = alloccounter::allocations();
     Clock::time_point t0 = Clock::now();
     churn(totalOps);
     double secs = secondsSince(t0);
-    std::int64_t allocs = allocDelta(allocs0);
 
     metric("cancel.ns_per_op",
            secs * 1e9 / static_cast<double>(totalOps));
-    metric("cancel.steady_allocs", static_cast<double>(allocs));
 }
 
 /**
@@ -224,65 +203,29 @@ benchRequestQueue(std::uint64_t totalOps)
 
     churn(totalOps / 10 + 64);
 
-    std::uint64_t allocs0 = alloccounter::allocations();
     Clock::time_point t0 = Clock::now();
     churn(totalOps);
     double secs = secondsSince(t0);
-    std::int64_t allocs = allocDelta(allocs0);
 
     metric("rq.ns_per_op", secs * 1e9 / static_cast<double>(totalOps));
-    metric("rq.steady_allocs", static_cast<double>(allocs));
     if (lookups == 0)
         std::printf("# lookups %llu\n",
                     static_cast<unsigned long long>(lookups));
 }
 
-/** End-to-end System slice: whole-simulator host throughput. */
-void
-benchSystemSlice(std::uint64_t instructions)
-{
-    SystemConfig cfg;
-    cfg.workloadName = "stream";
-    cfg.policy = policies::beMellow().withSC().withWQ();
-    cfg.instructions = instructions;
-    cfg.warmupInstructions = instructions / 4;
-    cfg.seed = 1;
-
-    Clock::time_point t0 = Clock::now();
-    System sys(cfg);
-    SimReport r = sys.run();
-    double secs = secondsSince(t0);
-
-    metric("system.sim_ticks_per_host_sec",
-           static_cast<double>(r.simTicks) / secs);
-    metric("system.instrs_per_host_sec",
-           static_cast<double>(r.instructions) / secs);
-    metric("system.host_sec", secs);
-}
-
 } // namespace
 
 int
-main(int argc, char **argv)
+main()
 {
-    benchutil::applyBenchArgs(argc, argv);
     Logger::setQuiet(true);
 
-    std::uint64_t events =
-        envCount("MELLOWSIM_PERF_EVENTS", 2'000'000);
-    std::uint64_t instrs = envCount("MELLOWSIM_INSTRS", 1'000'000);
-
-    std::printf("# micro_kernel: events=%llu instrs=%llu "
-                "alloc_counter=%d\n",
-                static_cast<unsigned long long>(events),
-                static_cast<unsigned long long>(instrs),
-                alloccounter::enabled() ? 1 : 0);
-    metric("alloc_counter_enabled",
-           alloccounter::enabled() ? 1.0 : 0.0);
+    std::uint64_t events = envEvents();
+    std::printf("# micro_kernel: events=%llu\n",
+                static_cast<unsigned long long>(events));
 
     benchEventKernel(events);
-    benchScheduleCancel(events / 2);
-    benchRequestQueue(events / 2);
-    benchSystemSlice(instrs);
+    benchScheduleCancel((events + 1) / 2);
+    benchRequestQueue((events + 1) / 2);
     return 0;
 }

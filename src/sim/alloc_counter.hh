@@ -4,17 +4,19 @@
  *
  * Every build replaces the global operator new/delete family with
  * counting wrappers over malloc/free (one thread-local increment per
- * call). The counters let the perf harnesses (bench/micro_kernel,
- * perfbench) prove the zero-steady-state-allocation property of the
- * event kernel and request path: sample the counter around a
- * steady-state loop and assert the delta is zero.
+ * call). The counters let the steady-state tests (EventQueue.
+ * SteadyState*, RequestQueue.SteadyStateChurnAllocatesNothing) prove
+ * the zero-steady-state-allocation property of the event kernel and
+ * request path: sample the counter around a steady-state loop and
+ * assert the delta is zero. perfbench reports allocations per memory
+ * request from the same counter.
  *
  * The counts are per thread: allocations() and deallocations() return
  * the calling thread's tally, so parallel sweep workers never contend
- * on a shared cache line. Every reader (bench/micro_kernel,
- * perfbench's traced detailed phase, the SystemChecks test) measures
- * a span that runs on one thread; a span that hands work to other
- * threads does not see their allocations.
+ * on a shared cache line. Every reader (those tests, perfbench's
+ * traced detailed phase, the SystemChecks tests) measures a span that
+ * runs on one thread; a span that hands work to other threads does
+ * not see their allocations.
  *
  * The wrappers route through malloc, so AddressSanitizer's malloc
  * interception (and leak checking) keeps working.

@@ -3,10 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <utility>
 #include <vector>
 
+#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 
 using namespace mellowsim;
@@ -384,4 +386,78 @@ TEST(EventQueue, AdvanceToOutsideTheHorizonPanics)
     eq.run(20);
     EXPECT_TRUE(checked);
     EXPECT_EQ(eq.curTick(), 20u);
+}
+
+// The steady-state tests run a warm-up that grows the kernel's slabs
+// and heap to their working size, then require the same loop to make
+// no heap allocation at all. The counter is per thread and the loops
+// hold no gtest macro, so only the kernel's own calls are counted.
+
+TEST(EventQueue, SteadyStateScheduleFireAllocatesNothing)
+{
+    // 64 self-rescheduling chains: each fire schedules its successor,
+    // so the pending population stays constant.
+    constexpr unsigned kChains = 64;
+    EventQueue eq;
+    std::uint64_t fired = 0;
+
+    struct Chain
+    {
+        EventQueue *eq;
+        std::uint64_t *fired;
+        std::uint64_t limit;
+        Tick stride;
+
+        void
+        operator()() const
+        {
+            if (++*fired < limit)
+                eq->scheduleIn(stride, *this);
+        }
+    };
+
+    auto runChains = [&](std::uint64_t limit) {
+        fired = 0;
+        for (unsigned c = 0; c < kChains; ++c)
+            eq.scheduleIn(1 + c % 7, Chain{&eq, &fired, limit, 1 + c % 13});
+        eq.run();
+    };
+
+    runChains(20'000);
+    const std::uint64_t allocs = alloccounter::allocations();
+    runChains(200'000);
+    const std::uint64_t steadyAllocs = alloccounter::allocations() - allocs;
+
+    EXPECT_GE(fired, 200'000u);
+    EXPECT_EQ(steadyAllocs, 0u);
+}
+
+TEST(EventQueue, SteadyStateCancelChurnAllocatesNothing)
+{
+    // 128 slots, each rescheduled (descheduling the pending event
+    // first) round-robin, with the queue drained a little every round.
+    constexpr unsigned kSlots = 128;
+    EventQueue eq;
+    std::vector<EventId> handles(kSlots);
+    std::uint64_t fired = 0;
+
+    auto churn = [&](std::uint64_t rounds) {
+        for (std::uint64_t r = 0; r < rounds; ++r) {
+            const unsigned slot = static_cast<unsigned>(r % kSlots);
+            if (eq.scheduled(handles[slot]))
+                eq.deschedule(handles[slot]);
+            handles[slot] = eq.scheduleIn(1 + r % 97, [&fired] { ++fired; });
+            if (slot == kSlots - 1)
+                eq.run(eq.curTick() + 5);
+        }
+        eq.run();
+    };
+
+    churn(20'000);
+    const std::uint64_t allocs = alloccounter::allocations();
+    churn(200'000);
+    const std::uint64_t steadyAllocs = alloccounter::allocations() - allocs;
+
+    EXPECT_GT(fired, 0u);
+    EXPECT_EQ(steadyAllocs, 0u);
 }

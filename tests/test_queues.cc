@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "nvm/queues.hh"
+#include "sim/alloc_counter.hh"
 #include "sim/logging.hh"
 
 using namespace mellowsim;
@@ -235,4 +236,43 @@ TEST(RequestQueue, StressManyPushPops)
         }
     }
     EXPECT_TRUE(q.empty());
+}
+
+TEST(RequestQueue, SteadyStateChurnAllocatesNothing)
+{
+    // 8 banks of write traffic: push, look up the next block, pop once
+    // a bank holds more than 3, and ask for the oldest arrival, as the
+    // controller does per request. After a warm-up that grows the
+    // arena and indexes, the same churn must not touch the heap; the
+    // loop holds no gtest macro, so only the queue's calls count.
+    constexpr unsigned kBanks = 8;
+    RequestQueue q(kBanks, 32);
+    std::uint64_t lookups = 0;
+
+    auto churn = [&](std::uint64_t rounds) {
+        Addr nextAddr = 0;
+        for (std::uint64_t r = 0; r < rounds; ++r) {
+            const unsigned bank = static_cast<unsigned>(r % kBanks);
+            q.push(makeReq(bank, nextAddr, ReqType::Write,
+                           static_cast<Tick>(r)));
+            nextAddr = (nextAddr + kBlockSize) % (1u << 22);
+            lookups += q.countForBlock(LogicalAddr(nextAddr));
+            if (q.countForBank(BankId(bank)) > 3)
+                lookups += q.pop(BankId(bank)).attempts;
+            if (q.oldestArrival() == MaxTick)
+                ++lookups;
+        }
+        for (unsigned b = 0; b < kBanks; ++b) {
+            while (q.countForBank(BankId(b)) > 0)
+                q.pop(BankId(b));
+        }
+    };
+
+    churn(20'000);
+    const std::uint64_t allocs = alloccounter::allocations();
+    churn(200'000);
+    const std::uint64_t steadyAllocs = alloccounter::allocations() - allocs;
+
+    EXPECT_TRUE(q.empty());
+    EXPECT_EQ(steadyAllocs, 0u);
 }
