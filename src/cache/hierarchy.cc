@@ -7,11 +7,31 @@ namespace mellowsim
 
 Hierarchy::Hierarchy(EventQueue &eventq, const HierarchyConfig &config,
                      MemoryPort &controller, std::uint64_t seed)
-    : _eventq(eventq), _config(config), _controller(controller),
-      _l1(config.l1), _l2(config.l2),
-      _llc(eventq, config.llc, controller, seed)
+    : _eventq(eventq), _controller(controller), _l1(config.l1),
+      _l2(config.l2), _llc(eventq, config.llc, controller, seed),
+      _mshrs(config.llcMshrs), _waiters(config.llcMshrs)
 {
     fatal_if(config.llcMshrs == 0, "hierarchy needs >= 1 MSHR");
+    // Thread every pool node onto the free list.
+    for (std::uint32_t i = 0; i + 1 < _waiters.size(); ++i)
+        _waiters[i].next = i + 1;
+    _freeWaiters = 0;
+}
+
+std::uint32_t
+Hierarchy::takeWaiter(bool isWrite, Callback done)
+{
+    if (_freeWaiters == kNone) {
+        _freeWaiters = static_cast<std::uint32_t>(_waiters.size());
+        _waiters.emplace_back();
+    }
+    std::uint32_t idx = _freeWaiters;
+    MshrWaiter &w = _waiters[idx];
+    _freeWaiters = w.next;
+    w.isWrite = isWrite;
+    w.done = std::move(done);
+    w.next = kNone;
+    return idx;
 }
 
 void
@@ -86,26 +106,43 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
         return {AccessOutcome::Hit, lookup};
     }
 
-    // LLC miss: merge into an outstanding MSHR if possible.
-    auto it = _mshrs.find(block);
-    if (it != _mshrs.end()) {
-        ++_stats.mshrMerges;
-        it->second.push_back({isWrite, std::move(done)});
-        return {AccessOutcome::Miss, 0};
+    // LLC miss: merge into an outstanding MSHR if possible. The scan
+    // stops once it has seen every entry in use and a free one.
+    std::uint32_t free_entry = kNone;
+    std::size_t in_use_seen = 0;
+    for (std::uint32_t e = 0; e < _mshrs.size(); ++e) {
+        Mshr &m = _mshrs[e];
+        if (m.head == kNone) {
+            if (free_entry == kNone)
+                free_entry = e;
+        } else if (m.block == block) {
+            ++_stats.mshrMerges;
+            std::uint32_t w = takeWaiter(isWrite, std::move(done));
+            _waiters[m.tail].next = w;
+            m.tail = w;
+            return {AccessOutcome::Miss, 0};
+        } else {
+            ++in_use_seen;
+        }
+        if (in_use_seen == _mshrsInUse && free_entry != kNone)
+            break;
     }
-    if (_mshrs.size() >= _config.llcMshrs) {
+    if (free_entry == kNone) {
         ++_stats.blocked;
         _blockedEpisode = true;
         return {AccessOutcome::Blocked, 0};
     }
 
     ++_stats.llcMisses;
-    _mshrs.emplace(block,
-                   std::vector<MshrWaiter>{{isWrite, std::move(done)}});
+    ++_mshrsInUse;
+    Mshr &m = _mshrs[free_entry];
+    m.block = block;
+    m.head = m.tail = takeWaiter(isWrite, std::move(done));
 
     // The memory read departs after the full lookup path.
-    _eventq.scheduleIn(lookup, [this, block] {
-        _controller.read(block, [this, block] { onFill(block); });
+    _eventq.scheduleIn(lookup, [this, block, free_entry] {
+        _controller.read(block,
+                         [this, free_entry] { onFill(free_entry); });
     });
     return {AccessOutcome::Miss, 0};
 }
@@ -113,30 +150,53 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
 void
 Hierarchy::prime(LogicalAddr addr, bool isWrite)
 {
-    LogicalAddr block = blockAlign(addr);
-    _l1.prime(block, isWrite);
-    _l2.prime(block, false);
-    _llc.prime(block, isWrite);
+    PrimeOp op{addr, isWrite};
+    prime(std::span<const PrimeOp>(&op, 1));
 }
 
 void
-Hierarchy::onFill(LogicalAddr blockAddr)
+Hierarchy::prime(std::span<const PrimeOp> ops)
 {
-    auto it = _mshrs.find(blockAddr);
-    panic_if(it == _mshrs.end(), "fill for an unknown MSHR");
-    std::vector<MshrWaiter> waiters = std::move(it->second);
-    _mshrs.erase(it);
+    for (const PrimeOp &op : ops)
+        _l1.prime(blockAlign(op.addr), op.isWrite);
+    for (const PrimeOp &op : ops)
+        _l2.prime(blockAlign(op.addr), false);
+    for (const PrimeOp &op : ops)
+        _llc.prime(blockAlign(op.addr), op.isWrite);
+}
+
+void
+Hierarchy::onFill(std::uint32_t entry)
+{
+    Mshr &m = _mshrs[entry];
+    panic_if(m.head == kNone, "fill for an unknown MSHR");
+    LogicalAddr block = m.block;
+    std::uint32_t first = m.head;
+    // Free the entry before anything runs, so a waiter's callback
+    // that misses again can take it.
+    m.head = m.tail = kNone;
+    --_mshrsInUse;
 
     bool any_store = false;
-    for (const MshrWaiter &w : waiters)
-        any_store = any_store || w.isWrite;
+    for (std::uint32_t w = first; w != kNone; w = _waiters[w].next)
+        any_store = any_store || _waiters[w].isWrite;
 
-    _llc.fillFromMemory(blockAddr);
-    fillUpper(blockAddr, any_store);
+    _llc.fillFromMemory(block);
+    fillUpper(block, any_store);
 
-    for (MshrWaiter &w : waiters) {
-        if (w.done)
-            w.done();
+    // Waiters fire in arrival order. Each node returns to the pool
+    // before its callback runs; the callback may take nodes (and grow
+    // the pool), but never the ones still queued behind it.
+    for (std::uint32_t w = first; w != kNone;) {
+        MshrWaiter &waiter = _waiters[w];
+        std::uint32_t next = waiter.next;
+        Callback done = std::move(waiter.done);
+        waiter.done = nullptr;
+        waiter.next = _freeWaiters;
+        _freeWaiters = w;
+        if (done)
+            done();
+        w = next;
     }
 
     if (_blockedEpisode) {

@@ -19,7 +19,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -58,6 +58,13 @@ struct AccessTicket
 {
     AccessOutcome outcome = AccessOutcome::Hit;
     Tick latency = 0; ///< valid for Hit
+};
+
+/** One warm-up access, as Hierarchy::prime consumes it. */
+struct PrimeOp
+{
+    LogicalAddr addr;
+    bool isWrite = false;
 };
 
 /** Hierarchy statistics. */
@@ -100,41 +107,78 @@ class Hierarchy
     /**
      * Functionally touch a block (warm-up): installs/updates the line
      * in all levels with no timing, statistics, or memory traffic.
-     * Victims are dropped silently.
+     * Victims are dropped silently. The one-op case of the batch
+     * prime below.
      */
     void prime(LogicalAddr addr, bool isWrite);
 
+    /**
+     * Prime every op of @p ops in stream order, level-major: all of
+     * L1, then all of L2, then all of the LLC. A level's prime never
+     * looks at another level, so the final state equals priming the
+     * ops one at a time through every level.
+     */
+    void prime(std::span<const PrimeOp> ops);
+
     [[nodiscard]] const HierarchyStats &stats() const { return _stats; }
+    [[nodiscard]] const SetAssocCache &l1() const { return _l1; }
+    [[nodiscard]] const SetAssocCache &l2() const { return _l2; }
     [[nodiscard]] Llc &llc() { return _llc; }
     [[nodiscard]] const Llc &llc() const { return _llc; }
 
     /** Outstanding LLC misses (MSHR occupancy). */
     [[nodiscard]] std::size_t outstandingMisses() const
     {
-        return _mshrs.size();
+        return _mshrsInUse;
     }
 
   private:
+    /** No waiter or no MSHR: a list's end, or nothing found. */
+    static constexpr std::uint32_t kNone = UINT32_MAX;
+
+    /** One access waiting on a miss: a node of the shared pool. */
     struct MshrWaiter
     {
-        bool isWrite;
+        bool isWrite = false;
         Callback done;
+        std::uint32_t next = kNone; ///< next waiter, or free node
     };
 
-    void onFill(LogicalAddr blockAddr);
+    /**
+     * One outstanding LLC miss. In use while its waiter list is
+     * non-empty; the list runs in arrival order.
+     */
+    struct Mshr
+    {
+        LogicalAddr block;
+        std::uint32_t head = kNone;
+        std::uint32_t tail = kNone;
+    };
+
+    /** Take a pool node for a waiter; grows the pool only if empty. */
+    std::uint32_t takeWaiter(bool isWrite, Callback done);
+    void onFill(std::uint32_t entry);
     void writeIntoL2(LogicalAddr blockAddr);
     void writeIntoLlc(LogicalAddr blockAddr);
     /** Install a block into L2 and L1 after an LLC hit or fill. */
     void fillUpper(LogicalAddr blockAddr, bool dirtyInL1);
 
     EventQueue &_eventq;
-    HierarchyConfig _config;
     MemoryPort &_controller;
     SetAssocCache _l1;
     SetAssocCache _l2;
     Llc _llc;
 
-    std::unordered_map<LogicalAddr, std::vector<MshrWaiter>> _mshrs;
+    /**
+     * The MSHR table (llcMshrs entries) and the waiter pool its lists
+     * thread through, both allocated at construction. The pool starts
+     * at one waiter per MSHR; a caller that keeps more accesses
+     * waiting at once grows it, after which it is reused.
+     */
+    std::vector<Mshr> _mshrs;
+    std::size_t _mshrsInUse = 0;
+    std::vector<MshrWaiter> _waiters;
+    std::uint32_t _freeWaiters = kNone;
     bool _blockedEpisode = false;
     Callback _retryCb;
 

@@ -10,7 +10,7 @@ namespace mellowsim
 TraceCore::TraceCore(EventQueue &eventq, const CoreConfig &config,
                      Workload &workload, Hierarchy &hierarchy)
     : _eventq(eventq), _config(config), _workload(workload),
-      _hierarchy(hierarchy)
+      _hierarchy(hierarchy), _window(config.robSize)
 {
     fatal_if(config.clockPeriod == 0, "core clock period must be > 0");
     fatal_if(config.issueWidth == 0, "core issue width must be >= 1");
@@ -67,10 +67,14 @@ TraceCore::pruneRetired()
 void
 TraceCore::onLoadComplete(std::uint64_t id)
 {
-    auto it = _pendingLoads.find(id);
-    panic_if(it == _pendingLoads.end(), "completion for unknown load");
-    it->second->complete = _eventq.curTick();
-    _pendingLoads.erase(it);
+    // A pending load never leaves the window (an id older than the
+    // front wraps to a huge position). A load outside the window, or
+    // one already complete, is unknown.
+    std::uint64_t pos = _window.empty() ? 0 : id - _window.front().id;
+    panic_if(pos >= _window.size() || _window.at(pos).complete != MaxTick,
+             "completion for unknown load");
+    _window.at(pos).complete = _eventq.curTick();
+    --_pendingLoads;
     if (id == _lastLoadId) {
         _lastLoadPending = false;
         _lastLoadComplete = _eventq.curTick();
@@ -141,7 +145,7 @@ TraceCore::process()
         }
 
         // Miss-level parallelism limit.
-        if (_pendingLoads.size() + _pendingStores >=
+        if (_pendingLoads + _pendingStores >=
             _config.maxOutstanding) {
             ++_stats.mshrStalls;
             _waitingCompletion = true;
@@ -194,7 +198,7 @@ TraceCore::process()
                 _lastLoadComplete = entry.complete;
             } else {
                 _lastLoadPending = true;
-                _pendingLoads.emplace(id, &_window.back());
+                ++_pendingLoads;
             }
         }
         _currentOpValid = false;

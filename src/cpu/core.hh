@@ -27,11 +27,10 @@
 #define MELLOWSIM_CPU_CORE_HH
 
 #include <cstdint>
-#include <deque>
-#include <unordered_map>
 
 #include "cache/hierarchy.hh"
 #include "sim/event_queue.hh"
+#include "sim/index_ring.hh"
 #include "sim/types.hh"
 #include "workload/workload.hh"
 
@@ -95,6 +94,13 @@ class TraceCore
     [[nodiscard]] const CoreStats &stats() const { return _stats; }
     [[nodiscard]] const CoreConfig &config() const { return _config; }
 
+    /**
+     * Data for load @p id has arrived (the load's miss callback).
+     * Panics unless @p id is a load still pending in the window, so a
+     * double completion fails loudly.
+     */
+    void onLoadComplete(std::uint64_t id);
+
   private:
     struct LoadEntry
     {
@@ -115,7 +121,6 @@ class TraceCore
     /** Drop retired loads from the window head. */
     void pruneRetired();
 
-    void onLoadComplete(std::uint64_t id);
     void onStoreComplete();
 
     EventQueue &_eventq;
@@ -135,8 +140,14 @@ class TraceCore
     std::uint64_t _seq = 0;
     std::uint64_t _nextLoadId = 1;
 
-    std::deque<LoadEntry> _window;
-    std::unordered_map<std::uint64_t, LoadEntry *> _pendingLoads;
+    /**
+     * Loads in program order. Ids run consecutively along the window,
+     * so load `id` sits at `id - front().id`. The ROB check before
+     * every push keeps it within robSize entries, the capacity it is
+     * built with, so it never grows.
+     */
+    RingDeque<LoadEntry> _window;
+    unsigned _pendingLoads = 0; ///< load misses in flight
     unsigned _pendingStores = 0;
 
     Tick _lastLoadComplete = 0;

@@ -21,6 +21,7 @@ MemoryController::MemoryController(EventQueue &eventq,
       _writeCompletion(config.geometry.numBanks, InvalidEventHandle),
       _lastReadArrival(config.geometry.numBanks, 0),
       _pausedBanks(config.geometry.numBanks),
+      _passBanks(config.geometry.numBanks),
       _endurance(config.endurance),
       _wear(
           [&config] {
@@ -631,23 +632,23 @@ MemoryController::trySchedule()
     Tick now = _eventq.curTick();
     updateDrainState(now);
 
-    // Both passes used to probe every bank; they now walk the
-    // incrementally maintained non-empty masks in the same ascending
-    // bank order. This cannot change any decision: a bank outside a
-    // mask makes tryIssueRead/tryIssueWrite return false immediately
-    // with no side effects and no *nextWake update. The masks are
-    // copied because issuing mutates them (pops empty banks out), and
-    // the write mask is built only after the read pass, which can
-    // requeue cancelled writes.
+    // Both passes walk the incrementally maintained non-empty masks
+    // in ascending bank order. A bank outside a mask makes
+    // tryIssueRead/tryIssueWrite return false immediately with no side
+    // effects and no *nextWake update, so skipping it changes nothing.
+    // Each pass walks a snapshot in _passBanks because issuing mutates
+    // the queue masks (pops empty banks out), and the write snapshot
+    // is taken only after the read pass, which can requeue cancelled
+    // writes.
     Tick next_wake = MaxTick;
-    IndexMask<BankId> readable = _readQ.nonEmptyBanks();
-    readable.forEach(
+    _passBanks.assign(_readQ.nonEmptyBanks());
+    _passBanks.forEach(
         [&](BankId bank) { tryIssueRead(bank, now, &next_wake); });
 
-    IndexMask<BankId> writable = _writeQ.nonEmptyBanks();
-    writable |= _eagerQ.nonEmptyBanks();
-    writable |= _pausedBanks; // a parked resume needs no queue entry
-    writable.forEach(
+    _passBanks.assign(_writeQ.nonEmptyBanks());
+    _passBanks |= _eagerQ.nonEmptyBanks();
+    _passBanks |= _pausedBanks; // a parked resume needs no queue entry
+    _passBanks.forEach(
         [&](BankId bank) { tryIssueWrite(bank, now, &next_wake); });
 
     if (next_wake != MaxTick)

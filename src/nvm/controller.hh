@@ -352,6 +352,11 @@ class MemoryController : public MemoryPort
      * whose only pending work is a parked resume.
      */
     IndexMask<BankId> _pausedBanks;
+    /**
+     * The banks one scheduler pass visits, sized at construction and
+     * overwritten in place by every pass, so a pass allocates nothing.
+     */
+    IndexMask<BankId> _passBanks;
 
     Tick _busNextFree = 0;
 
@@ -377,7 +382,6 @@ class MemoryController : public MemoryPort
     /** Dedup state for the scheduler event. */
     EventHandle _scheduleEvent = InvalidEventHandle;
     Tick _scheduleAt = MaxTick;
-    bool _inSchedulePass = false;
 };
 
 } // namespace mellowsim

@@ -17,6 +17,7 @@
 #ifndef MELLOWSIM_SIM_INDEX_MASK_HH
 #define MELLOWSIM_SIM_INDEX_MASK_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -73,13 +74,25 @@ class IndexMask
         return false;
     }
 
+    /**
+     * Overwrite with @p other's ids. Both masks cover the same id
+     * range, so the words are copied in place: no allocation, unlike
+     * copy-constructing a fresh mask.
+     */
+    IndexMask &
+    assign(const IndexMask &other)
+    {
+        checkSameSize(other);
+        std::copy(other._words.begin(), other._words.end(),
+                  _words.begin());
+        return *this;
+    }
+
     /** Union; both masks must cover the same id range. */
     IndexMask &
     operator|=(const IndexMask &other)
     {
-        panic_if(other._bits != _bits,
-                 "IndexMask union over mismatched sizes (%zu vs %zu)",
-                 _bits, other._bits);
+        checkSameSize(other);
         for (std::size_t w = 0; w < _words.size(); ++w)
             _words[w] |= other._words[w];
         return *this;
@@ -103,6 +116,14 @@ class IndexMask
     }
 
   private:
+    void
+    checkSameSize(const IndexMask &other) const
+    {
+        panic_if(other._bits != _bits,
+                 "IndexMask over mismatched sizes (%zu vs %zu)", _bits,
+                 other._bits);
+    }
+
     [[nodiscard]] std::size_t
     checkedIndex(Id id) const
     {

@@ -56,6 +56,14 @@ class RingDeque
         return _buf[(_head + i) & (_buf.size() - 1)];
     }
 
+    [[nodiscard]] T &
+    at(std::size_t i)
+    {
+        panic_if(i >= _size, "ring index %zu out of range (size %zu)",
+                 i, _size);
+        return _buf[(_head + i) & (_buf.size() - 1)];
+    }
+
     void
     push_back(T value)
     {

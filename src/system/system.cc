@@ -1,6 +1,7 @@
 #include "system/system.hh"
 
 #include <cmath>
+#include <vector>
 
 #include "check/install.hh"
 #include "check/registry.hh"
@@ -56,12 +57,25 @@ System::run()
     panic_if(_ran, "System::run() called twice");
     _ran = true;
 
-    // Functional warm-up from the front of the workload stream.
-    std::uint64_t warm_instrs = 0;
-    while (warm_instrs < _config.warmupInstructions) {
-        Op op = _workload->next();
-        warm_instrs += op.gap + 1;
-        _hierarchy->prime(LogicalAddr(op.addr), op.isWrite);
+    // Functional warm-up from the front of the workload stream, in
+    // bounded chunks that the hierarchy primes level by level. The
+    // chunk buffer is freed before the detailed phase.
+    {
+        constexpr std::size_t kChunkOps = 4096;
+        std::vector<PrimeOp> chunk;
+        chunk.reserve(kChunkOps);
+        std::uint64_t warm_instrs = 0;
+        while (warm_instrs < _config.warmupInstructions) {
+            chunk.clear();
+            while (chunk.size() < kChunkOps &&
+                   warm_instrs < _config.warmupInstructions) {
+                Op op = _workload->next();
+                warm_instrs += op.gap + 1;
+                // A workload op enters the logical address space here.
+                chunk.push_back({LogicalAddr(op.addr), op.isWrite});
+            }
+            _hierarchy->prime(chunk);
+        }
     }
 
     _core->start(_config.instructions);

@@ -6,6 +6,7 @@
 
 #include "mellow/policy.hh"
 #include "nvm/controller.hh"
+#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 
 using namespace mellowsim;
@@ -466,4 +467,50 @@ TEST(Controller, PausedWriteBlocksNewWritesUntilResumed)
     EXPECT_EQ(f.ctrl.stats().issuedSlowWrites.value(), 2u);
     EXPECT_EQ(f.ctrl.wearTracker().bankStats(BankId(0)).slowWrites, 2u);
     EXPECT_EQ(f.ctrl.stats().resumedWrites.value(), 1u);
+}
+
+TEST(Controller, SteadyStateSchedulingAllocatesNothing)
+{
+    // Every scheduler pass walks the non-empty bank sets. Warm the
+    // queues, the event slabs and the wear state with two rounds of a
+    // read/write/eager mix that cancels slow writes; after that,
+    // further rounds and their thousands of passes allocate nothing.
+    Fixture f{beMellow().withSC()};
+    std::uint64_t delivered = 0;
+    std::uint64_t block = 0;
+    auto round = [&] {
+        for (unsigned i = 0; i < 64; ++i) {
+            unsigned bank = i % 4;
+            f.ctrl.read(bankAddr(bank, block),
+                        [&delivered] { ++delivered; });
+            f.ctrl.writeback(bankAddr(bank, block + 1));
+            (void)f.ctrl.eagerWrite(bankAddr((bank + 1) % 4, block + 2));
+            block = (block + 3) % 4000;
+            f.runFor(50 * kNanosecond);
+        }
+        f.runFor(20 * kMicrosecond);
+    };
+    round();
+    round();
+
+    const MemControllerStats &s = f.ctrl.stats();
+    const std::uint64_t reads = s.issuedReads.value();
+    const std::uint64_t writes =
+        s.issuedSlowWrites.value() + s.issuedNormalWrites.value();
+    const std::uint64_t eager =
+        s.issuedEagerSlow.value() + s.issuedEagerNormal.value();
+    const std::uint64_t cancelled = s.cancelledWrites.value();
+    const std::uint64_t allocs = alloccounter::allocations();
+    for (int r = 0; r < 20; ++r)
+        round();
+    EXPECT_EQ(alloccounter::allocations() - allocs, 0u);
+
+    // The measured rounds exercised every kind of pass.
+    EXPECT_EQ(delivered, 22u * 64u);
+    EXPECT_GT(s.issuedReads.value(), reads);
+    EXPECT_GT(s.issuedSlowWrites.value() + s.issuedNormalWrites.value(),
+              writes);
+    EXPECT_GT(s.issuedEagerSlow.value() + s.issuedEagerNormal.value(),
+              eager);
+    EXPECT_GT(s.cancelledWrites.value(), cancelled);
 }

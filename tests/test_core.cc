@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <vector>
 
 #include "cpu/core.hh"
 #include "nvm/controller.hh"
@@ -88,6 +89,56 @@ struct Fixture
         while (!core.done() && eq.step()) {
         }
         ASSERT_TRUE(core.done());
+    }
+};
+
+/**
+ * Memory whose reads complete at scripted absolute ticks: the n-th
+ * read delivers at doneAt[n].
+ */
+class ScriptedPort : public MemoryPort
+{
+  public:
+    ScriptedPort(EventQueue &eq, std::vector<Tick> doneAt)
+        : _eq(eq), _doneAt(std::move(doneAt))
+    {
+    }
+
+    void
+    read(LogicalAddr, ReadCallback onComplete) override
+    {
+        ASSERT_LT(reads, _doneAt.size());
+        _eq.schedule(_doneAt[reads++], std::move(onComplete));
+    }
+    void writeback(LogicalAddr) override {}
+    bool eagerWrite(LogicalAddr) override { return false; }
+    [[nodiscard]] bool eagerQueueHasSpace() const override
+    {
+        return false;
+    }
+
+    std::size_t reads = 0;
+
+  private:
+    EventQueue &_eq;
+    std::vector<Tick> _doneAt;
+};
+
+/** A core over the default hierarchy and a ScriptedPort. */
+struct ScriptedFixture
+{
+    EventQueue eq;
+    ScriptedPort port;
+    Hierarchy hier;
+    ScriptWorkload wl;
+    TraceCore core;
+
+    ScriptedFixture(std::deque<Op> ops, std::vector<Tick> doneAt,
+                    CoreConfig cc)
+        : port(eq, std::move(doneAt)),
+          hier(eq, HierarchyConfig{}, port, 3), wl(std::move(ops)),
+          core(eq, cc, wl, hier)
+    {
     }
 };
 
@@ -252,4 +303,71 @@ TEST(Core, DependentLoadStillStallsDispatch)
     f.runToDone(2);
     EXPECT_GT(f.core.stats().depStalls, 0u);
     EXPECT_GE(f.core.finishTick(), Tick(160 * kNanosecond));
+}
+
+TEST(Core, LoadsCompletingOutOfOrderRetireInOrder)
+{
+    // Three independent load misses (8 instructions each, so one op
+    // per 500 ps) dispatch at 0.5, 1.0 and 1.5 ns. A 32-instruction
+    // op then dispatches at 3.5 ns with seq 56, 48 past the oldest
+    // load: beyond the 32-entry ROB, so it stalls. Memory returns the
+    // misses in reverse order. The two younger completions cannot
+    // retire past the oldest load, so each only re-stalls; when the
+    // oldest returns at 400 ns all three retire and the op issues.
+    CoreConfig cc;
+    cc.robSize = 32;
+    const Addr hot = 0x40;
+    std::deque<Op> ops;
+    ops.push_back(op(7, false, 64 * kBlockSize));
+    ops.push_back(op(7, false, 65 * kBlockSize));
+    ops.push_back(op(7, false, 66 * kBlockSize));
+    ops.push_back(op(31, false, hot));
+    ScriptedFixture f(std::move(ops),
+                      {400 * kNanosecond, 300 * kNanosecond,
+                       200 * kNanosecond},
+                      cc);
+    f.hier.prime(LogicalAddr(hot), false);
+
+    f.core.start(56);
+    f.eq.run(250 * kNanosecond);
+    EXPECT_EQ(f.port.reads, 3u);
+    EXPECT_FALSE(f.core.done());
+    EXPECT_EQ(f.core.stats().robStalls, 2u); // at 3.5 ns and 200 ns
+    f.eq.run(350 * kNanosecond);
+    EXPECT_FALSE(f.core.done());
+    EXPECT_EQ(f.core.stats().robStalls, 3u); // and again at 300 ns
+    f.eq.run(400 * kNanosecond + 1);
+    ASSERT_TRUE(f.core.done());
+    EXPECT_EQ(f.core.stats().robStalls, 3u);
+    EXPECT_EQ(f.core.finishTick(), 400 * kNanosecond);
+    EXPECT_EQ(f.core.stats().instructions, 56u);
+    EXPECT_EQ(f.core.stats().loads, 4u);
+}
+
+TEST(Core, DoubleLoadCompletionPanics)
+{
+    // Loads 1 and 2 miss; a 32-instruction op then stalls on the ROB
+    // behind load 1. Load 2's data returns first, at 200 ns, and stays
+    // in the window behind load 1 until that returns at 300 ns. A
+    // second completion for either is unknown, in the window or out.
+    CoreConfig cc;
+    cc.robSize = 32;
+    std::deque<Op> ops;
+    ops.push_back(op(7, false, 64 * kBlockSize));
+    ops.push_back(op(7, false, 65 * kBlockSize));
+    ops.push_back(op(31, false, 0x40));
+    ScriptedFixture f(std::move(ops),
+                      {300 * kNanosecond, 200 * kNanosecond}, cc);
+    f.hier.prime(LogicalAddr(0x40), false);
+    f.core.start(48);
+
+    f.eq.run(200 * kNanosecond + 1);
+    ASSERT_EQ(f.port.reads, 2u);
+    EXPECT_THROW(f.core.onLoadComplete(2), PanicError); // in the window
+    EXPECT_THROW(f.core.onLoadComplete(3), PanicError); // not issued yet
+
+    f.eq.run(300 * kNanosecond + 1);
+    ASSERT_TRUE(f.core.done());
+    EXPECT_EQ(f.core.finishTick(), 300 * kNanosecond);
+    EXPECT_THROW(f.core.onLoadComplete(1), PanicError); // retired
 }

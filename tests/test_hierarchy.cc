@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <random>
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "mellow/policy.hh"
 #include "nvm/controller.hh"
+#include "sim/alloc_counter.hh"
 #include "sim/event_queue.hh"
 
 using namespace mellowsim;
@@ -207,4 +212,131 @@ TEST(Hierarchy, LlcMissRateMatchesStreamingPattern)
     }
     EXPECT_EQ(f.hier.stats().llcMisses.value(), 1000u);
     EXPECT_EQ(f.hier.stats().l1Hits.value(), 0u);
+}
+
+TEST(Hierarchy, SteadyStateMissPathAllocatesNothing)
+{
+    // Misses, same-block merges, fills, dirty evictions and the MSHR
+    // limit on a warm hierarchy: the MSHR table and its waiter pool
+    // are reused, so nothing reaches the heap.
+    Fixture f;
+    std::uint64_t done = 0;
+    Addr next = 0;
+    auto round = [&] {
+        for (int i = 0; i < 64; ++i) {
+            LogicalAddr a(next);
+            next = (next + 37 * kBlockSize) % (1ull << 21);
+            bool store = i % 3 == 0;
+            for (;;) {
+                AccessTicket t =
+                    f.hier.access(a, store, [&done] { ++done; });
+                if (t.outcome != AccessOutcome::Blocked)
+                    break;
+                f.run(kMicrosecond);
+            }
+            // A merge into the miss just issued (a hit if it hit).
+            f.hier.access(a, !store, [&done] { ++done; });
+        }
+        f.run();
+    };
+    // Ten rounds grow every pool on the path (the waiter pool, the
+    // controller's queues, the event slabs) to its working size.
+    for (int r = 0; r < 10; ++r)
+        round();
+
+    const HierarchyStats &s = f.hier.stats();
+    const std::uint64_t misses = s.llcMisses.value();
+    const std::uint64_t merges = s.mshrMerges.value();
+    const std::uint64_t blocked = s.blocked.value();
+    const std::uint64_t allocs = alloccounter::allocations();
+    for (int r = 0; r < 20; ++r)
+        round();
+    EXPECT_EQ(alloccounter::allocations() - allocs, 0u);
+
+    EXPECT_EQ(f.hier.outstandingMisses(), 0u);
+    EXPECT_GT(s.llcMisses.value(), misses);
+    EXPECT_GT(s.mshrMerges.value(), merges);
+    EXPECT_GT(s.blocked.value(), blocked);
+    EXPECT_GT(f.ctrl.stats().acceptedWritebacks.value(), 0u);
+}
+
+TEST(Hierarchy, FillCallbackCanTakeTheFreedMshr)
+{
+    Fixture f; // 4 MSHRs
+    std::vector<int> order;
+    AccessTicket reissued;
+    std::size_t outstandingInCallback = 0;
+    const LogicalAddr first(0x40);
+    const LogicalAddr other(9 * 4096 + 0x40);
+
+    // Three waiters on the first miss. The first waiter's callback
+    // misses on another block while the table is otherwise full.
+    f.hier.access(first, false, [&] {
+        order.push_back(1);
+        outstandingInCallback = f.hier.outstandingMisses();
+        reissued = f.hier.access(other, false, [&] { order.push_back(4); });
+    });
+    f.hier.access(first, true, [&] { order.push_back(2); });
+    f.hier.access(first, false, [&] { order.push_back(3); });
+    // Fill the rest of the table a little later, so the first block's
+    // read departs, and returns, first.
+    f.run(10 * kNanosecond);
+    for (int i = 1; i < 4; ++i) {
+        AccessTicket t = f.hier.access(
+            LogicalAddr(static_cast<Addr>(i) * 4096 + 0x40), false,
+            nullptr);
+        EXPECT_EQ(t.outcome, AccessOutcome::Miss);
+    }
+    EXPECT_EQ(f.hier.access(other, false, nullptr).outcome,
+              AccessOutcome::Blocked);
+
+    f.run();
+    EXPECT_EQ(outstandingInCallback, 3u);
+    EXPECT_EQ(reissued.outcome, AccessOutcome::Miss);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+    EXPECT_EQ(f.hier.outstandingMisses(), 0u);
+}
+
+TEST(Hierarchy, PrimeBatchMatchesPerOpPrime)
+{
+    // Level-major priming of a stream must leave every level exactly
+    // as priming it one op at a time does: same lines, same recency
+    // order, same dirty bits.
+    std::mt19937_64 rng(11);
+    std::vector<PrimeOp> ops(20'000);
+    for (PrimeOp &op : ops) {
+        op.addr = LogicalAddr((rng() % 4096) * kBlockSize + rng() % 64);
+        op.isWrite = rng() % 4 == 0;
+    }
+
+    Fixture perOp;
+    for (const PrimeOp &op : ops)
+        perOp.hier.prime(op.addr, op.isWrite);
+    Fixture batched;
+    std::span<const PrimeOp> rest(ops);
+    for (std::size_t chunk = 1; !rest.empty(); chunk = chunk * 3 + 1) {
+        std::size_t n = std::min(chunk, rest.size());
+        batched.hier.prime(rest.first(n));
+        rest = rest.subspan(n);
+    }
+
+    auto expectSame = [](const SetAssocCache &a, const SetAssocCache &b) {
+        ASSERT_EQ(a.numSets(), b.numSets());
+        for (std::uint64_t s = 0; s < a.numSets(); ++s) {
+            ASSERT_EQ(a.dirtyMask(s), b.dirtyMask(s)) << "set " << s;
+            std::span<const CacheLine> la = a.set(s);
+            std::span<const CacheLine> lb = b.set(s);
+            for (std::size_t w = 0; w < la.size(); ++w) {
+                ASSERT_EQ(la[w].valid, lb[w].valid);
+                ASSERT_EQ(la[w].blockAddr, lb[w].blockAddr);
+                ASSERT_EQ(la[w].dirty, lb[w].dirty);
+                ASSERT_EQ(la[w].eagerCleaned, lb[w].eagerCleaned);
+                ASSERT_EQ(la[w].touchStamp, lb[w].touchStamp);
+            }
+        }
+    };
+    expectSame(perOp.hier.l1(), batched.hier.l1());
+    expectSame(perOp.hier.l2(), batched.hier.l2());
+    expectSame(perOp.hier.llc().array(), batched.hier.llc().array());
+    EXPECT_GT(batched.hier.llc().array().countDirtyLines(), 0u);
 }
