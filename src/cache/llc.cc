@@ -16,14 +16,15 @@ Llc::Llc(EventQueue &eventq, const LlcConfig &config,
           p.assoc = config.cache.assoc;
           return p;
       }()),
-      _rng(seed ^ 0x11CC11CCull), _cumHits(config.cache.assoc, 0)
+      _rng(seed ^ 0x11CC11CCull), _cumHits(config.cache.assoc, 0),
+      _scan(eventq, [this] { onScan(); })
 {
     _eventq.scheduleIn(_profiler.config().samplePeriod,
                        [this] { onSamplePeriod(); });
     if (_config.eagerEnabled) {
         fatal_if(_config.scanInterval == 0,
                  "eager scan interval must be positive");
-        _eventq.scheduleIn(_config.scanInterval, [this] { onScan(); });
+        _scan.schedule(_eventq.curTick() + _config.scanInterval);
     }
 }
 
@@ -145,9 +146,7 @@ Llc::onScan()
     const Tick horizon = _eventq.horizon();
     const std::uint64_t ticks =
         horizon > now ? (horizon - now - 1) / interval + 1 : 1;
-    auto rearm = [this](Tick when) {
-        _eventq.schedule(when, [this] { onScan(); });
-    };
+    auto rearm = [this](Tick when) { _scan.schedule(when); };
 
     if (!_controller.eagerQueueHasSpace()) {
         rearm(now + ticks * interval);

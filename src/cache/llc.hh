@@ -149,6 +149,8 @@ class Llc
     LlcStats _stats;
     std::vector<std::uint64_t> _cumHits;
     std::uint32_t _period = 0;
+    /** The eager scan; armed only when eager writes are enabled. */
+    EventQueue::PinnedEvent _scan;
 };
 
 } // namespace mellowsim

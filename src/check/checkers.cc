@@ -61,6 +61,7 @@ EventQueueChecker::capture(const EventQueue &eventq)
     s.curTick = eventq.curTick();
     s.minPendingTick = eventq.minPendingTick();
     s.rawHeapSize = eventq.rawHeapSize();
+    s.armedPinned = eventq.armedPinned();
     s.numPending = eventq.numPending();
     return s;
 }
@@ -78,16 +79,18 @@ EventQueueChecker::evaluate(const Snapshot &s, Tick lastAuditTick,
     }
     if (s.minPendingTick < s.curTick) {
         sink.add(logFormat(
-            "pending event in the past: earliest heap entry at tick "
-            "%llu but curTick is %llu",
+            "pending event in the past: earliest heap entry or armed "
+            "pinned event at tick %llu but curTick is %llu",
             static_cast<unsigned long long>(s.minPendingTick),
             static_cast<unsigned long long>(s.curTick)));
     }
-    if (s.rawHeapSize < s.numPending) {
+    // Every pending event is a live heap entry or an armed pinned
+    // event.
+    if (s.rawHeapSize + s.armedPinned < s.numPending) {
         sink.add(logFormat(
             "event bookkeeping skew: %zu live events but only %zu "
-            "heap entries",
-            s.numPending, s.rawHeapSize));
+            "heap entries and %zu armed pinned events",
+            s.numPending, s.rawHeapSize, s.armedPinned));
     }
 }
 

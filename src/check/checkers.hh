@@ -4,8 +4,9 @@
  *
  * Each checker audits one cross-module contract:
  *
- *  - EventQueueChecker: simulated time is monotone and no pending
- *    event sits in the past.
+ *  - EventQueueChecker: simulated time is monotone, no pending event
+ *    sits in the past, and every pending event is a heap entry or an
+ *    armed pinned event.
  *  - RequestConservationChecker: every request admitted to the read /
  *    write / eager queues is eventually completed or cancelled exactly
  *    once — no loss, no double-completion — and pause/resume pair up.
@@ -54,6 +55,7 @@ class EventQueueChecker : public InvariantChecker
         Tick curTick = 0;
         Tick minPendingTick = MaxTick;
         std::size_t rawHeapSize = 0;
+        std::size_t armedPinned = 0;
         std::size_t numPending = 0;
     };
 

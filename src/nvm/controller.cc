@@ -41,7 +41,8 @@ MemoryController::MemoryController(EventQueue &eventq,
           }(),
           _endurance),
       _energy(config.energy),
-      _levelers(config.geometry.numBanks)
+      _levelers(config.geometry.numBanks),
+      _pass(eventq, [this] { trySchedule(); })
 {
     fatal_if(config.drainLowThreshold >= config.writeQueueSize,
              "drain low threshold (%u) must be below the write queue "
@@ -209,16 +210,9 @@ MemoryController::requestSchedule(Tick when)
     Tick now = _eventq.curTick();
     if (when < now)
         when = now;
-    if (_scheduleEvent != InvalidEventHandle) {
-        if (_scheduleAt <= when)
-            return;
-        _eventq.deschedule(_scheduleEvent);
-    }
-    _scheduleAt = when;
-    auto pass = [this] { trySchedule(); };
-    static_assert(EventQueue::fitsInline<decltype(pass)>(),
-                  "scheduler-pass callback must use the inline slot");
-    _scheduleEvent = _eventq.schedule(when, std::move(pass));
+    if (_pass.scheduled() && _pass.when() <= when)
+        return;
+    _pass.schedule(when);
 }
 
 void
@@ -626,9 +620,6 @@ MemoryController::onWriteComplete(BankId bank)
 void
 MemoryController::trySchedule()
 {
-    _scheduleEvent = InvalidEventHandle;
-    _scheduleAt = MaxTick;
-
     Tick now = _eventq.curTick();
     updateDrainState(now);
 

@@ -379,9 +379,8 @@ class MemoryController : public MemoryPort
 
     MemControllerStats _stats;
 
-    /** Dedup state for the scheduler event. */
-    EventHandle _scheduleEvent = InvalidEventHandle;
-    Tick _scheduleAt = MaxTick;
+    /** The scheduler pass; pending at most once, at its earliest request. */
+    EventQueue::PinnedEvent _pass;
 };
 
 } // namespace mellowsim

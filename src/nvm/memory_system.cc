@@ -41,6 +41,10 @@ MemorySystem::MemorySystem(EventQueue &eventq,
             eventq,
             perChannelConfig(config.channel, config.numChannels, c)));
     }
+    if (config.channel.fault.capacityFloorFraction > 0.0) {
+        for (const auto &c : _channels)
+            _hasCapacityFloor |= c->faultModel() != nullptr;
+    }
 }
 
 void
@@ -117,9 +121,9 @@ MemorySystem::effectiveCapacityFraction() const
 bool
 MemorySystem::capacityFloorReached() const
 {
-    double floor = _config.channel.fault.capacityFloorFraction;
-    if (floor <= 0.0)
+    if (!_hasCapacityFloor)
         return false;
+    const double floor = _config.channel.fault.capacityFloorFraction;
     for (const auto &c : _channels) {
         const FaultModel *fm = c->faultModel();
         if (fm != nullptr && fm->effectiveCapacityFraction() <= floor)

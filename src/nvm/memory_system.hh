@@ -84,6 +84,13 @@ class MemorySystem : public MemoryPort
      */
     [[nodiscard]] bool capacityFloorReached() const;
 
+    /**
+     * True iff capacityFloorReached() can ever become true: fault
+     * injection is on and a capacity floor is configured. Fixed at
+     * construction, so a run loop decides once whether to poll.
+     */
+    [[nodiscard]] bool hasCapacityFloor() const { return _hasCapacityFloor; }
+
     /** Mean bank utilisation over all channels. */
     [[nodiscard]] double avgBankUtilization() const;
 
@@ -113,6 +120,7 @@ class MemorySystem : public MemoryPort
     MemorySystemConfig _config;
     ChannelInterleave _interleave;
     IndexedVector<ChannelId, std::unique_ptr<MemoryController>> _channels;
+    bool _hasCapacityFloor = false;
 };
 
 } // namespace mellowsim

@@ -119,8 +119,9 @@ EventQueue::fireSlot(Slot &s, std::uint32_t index)
 void
 EventQueue::maybeCompact()
 {
-    // All pending events own exactly one heap entry, so the stale
-    // (lazily-cancelled) fraction is heap size minus pending count.
+    // Every pending heap event owns exactly one heap entry, so the
+    // stale (lazily-cancelled) fraction is heap size minus the heap's
+    // pending count; pinned events own no entry and do not count.
     if (_heap.size() < kCompactMinEntries ||
         _heap.size() - _numPending <= _heap.size() / 2) {
         return;
@@ -133,20 +134,58 @@ EventQueue::maybeCompact()
     }
 }
 
+void
+EventQueue::refreshPinnedTop()
+{
+    _pinnedTop = nullptr;
+    _pinnedTopAt = kDisarmed;
+    if (_armedPinned == 0)
+        return;
+    for (PinnedEvent *event : _pinned) {
+        if (key128(event->_at) < key128(_pinnedTopAt)) {
+            _pinnedTop = event;
+            _pinnedTopAt = event->_at;
+        }
+    }
+}
+
+void
+EventQueue::firePinned()
+{
+    // Disarm before invoking, as fireSlot() does, so the action may
+    // re-arm its own event.
+    PinnedEvent &event = *_pinnedTop;
+    _curTick = _pinnedTopAt.when;
+    event._at = kDisarmed;
+    --_armedPinned;
+    refreshPinnedTop();
+    event._invoke(event._action);
+}
+
+void
+EventQueue::unregisterPinned(PinnedEvent &event)
+{
+    if (event.scheduled())
+        --_armedPinned;
+    std::erase(_pinned, &event);
+    refreshPinnedTop();
+}
+
 bool
 EventQueue::step()
 {
-    while (!_heap.empty()) {
-        Entry top = _heap.front();
-        popTop();
-        Slot &s = slotRef(slotOf(top.key));
-        if (s.pendingKey != top.key)
-            continue; // cancelled: discarded lazily
-        _curTick = top.when;
-        fireSlot(s, slotOf(top.key));
+    dropStaleTop();
+    if (pinnedFirst()) {
+        firePinned();
         return true;
     }
-    return false;
+    if (_heap.empty())
+        return false;
+    Entry top = _heap.front();
+    popTop();
+    _curTick = top.when;
+    fireSlot(slotRef(slotOf(top.key)), slotOf(top.key));
+    return true;
 }
 
 std::uint64_t
@@ -163,24 +202,30 @@ EventQueue::run(Tick stopAt)
     _stopAt = stopAt;
 
     std::uint64_t executed = 0;
-    while (!_heap.empty()) {
-        Entry top = _heap.front();
-        Slot &s = slotRef(slotOf(top.key));
-        if (s.pendingKey != top.key) {
+    for (;;) {
+        dropStaleTop();
+        if (pinnedFirst()) {
+            if (_pinnedTopAt.when >= stopAt) {
+                _curTick = stopAt;
+                break;
+            }
+            firePinned();
+        } else if (!_heap.empty()) {
+            Entry top = _heap.front();
+            if (top.when >= stopAt) {
+                _curTick = stopAt;
+                break;
+            }
             popTop();
-            continue;
-        }
-        if (top.when >= stopAt) {
-            _curTick = stopAt;
+            _curTick = top.when;
+            fireSlot(slotRef(slotOf(top.key)), slotOf(top.key));
+        } else {
+            if (stopAt != MaxTick && _curTick < stopAt)
+                _curTick = stopAt;
             break;
         }
-        popTop();
-        _curTick = top.when;
-        fireSlot(s, slotOf(top.key));
         ++executed;
     }
-    if (_heap.empty() && stopAt != MaxTick && _curTick < stopAt)
-        _curTick = stopAt;
     return executed;
 }
 

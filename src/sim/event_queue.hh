@@ -8,8 +8,11 @@
  * every run bit-deterministic.
  *
  * Components may hold an EventHandle to a scheduled event in order to
- * deschedule or reschedule it (e.g. a memory controller's "try issue"
- * event, or a cancellable write completion).
+ * deschedule or reschedule it (e.g. a cancellable write completion).
+ * A component's self-re-arming loop (the memory controller's
+ * scheduler pass, the LLC's eager scan) instead owns a PinnedEvent:
+ * one fixed action with at most one pending firing, kept outside the
+ * heap and re-armed in place.
  *
  * Performance architecture (see DESIGN.md "Performance architecture"):
  * the kernel allocates nothing in steady state. Callables live in a
@@ -27,7 +30,11 @@
  * sequence is a pure function of the schedule-call sequence. Slot
  * reuse, free-list order and heap compaction change only *where*
  * callables are stored, never the (when, seq) keys, so they cannot
- * reorder fires. tools/determinism_check audits this end to end.
+ * reorder fires. A pinned event draws its seq from the same counter
+ * on every (re-)arm, and step()/run() fire whichever of it and the
+ * heap top is earlier in (when, seq) order, so it fires exactly where
+ * a deschedule + schedule of a heap event would have.
+ * tools/determinism_check audits this end to end.
  */
 
 #ifndef MELLOWSIM_SIM_EVENT_QUEUE_HH
@@ -127,6 +134,8 @@ class EventQueue
     /** Current simulation time. */
     [[nodiscard]] Tick curTick() const { return _curTick; }
 
+    class PinnedEvent;
+
     /**
      * Schedule @p action to run at absolute tick @p when.
      *
@@ -206,30 +215,39 @@ class EventQueue
         return slotRef(slot).pendingKey == handle._key;
     }
 
-    /** Number of pending (non-cancelled) events. */
-    [[nodiscard]] std::size_t numPending() const { return _numPending; }
+    /** Number of pending events: live heap events plus armed pinned ones. */
+    [[nodiscard]] std::size_t
+    numPending() const
+    {
+        return _numPending + _armedPinned;
+    }
 
     // --- Audit accessors (src/check/) -----------------------------
     /**
-     * Earliest tick present in the heap (MaxTick if empty). Includes
-     * lazily-cancelled entries, which is fine for auditing: every
-     * entry was scheduled at >= the then-current tick, so even a
-     * stale entry must not sit in the past.
+     * Earliest tick of the heap top and the armed pinned events
+     * (MaxTick if neither). The heap top may be a lazily-cancelled
+     * entry, which is fine for auditing: every entry was scheduled at
+     * >= the then-current tick, so even a stale entry must not sit in
+     * the past.
      */
     [[nodiscard]] Tick
     minPendingTick() const
     {
-        return _heap.empty() ? MaxTick : _heap.front().when;
+        Tick heap = _heap.empty() ? MaxTick : _heap.front().when;
+        return _pinnedTopAt.when < heap ? _pinnedTopAt.when : heap;
     }
 
     /** Heap entries, including cancelled ones awaiting lazy removal. */
     [[nodiscard]] std::size_t rawHeapSize() const { return _heap.size(); }
 
+    /** Armed pinned events; each is pending but owns no heap entry. */
+    [[nodiscard]] std::size_t armedPinned() const { return _armedPinned; }
+
     /** Pool slots ever created (capacity watermark, for tests). */
     [[nodiscard]] std::size_t slotCount() const { return _slotCount; }
 
     /** True iff no events remain. */
-    [[nodiscard]] bool empty() const { return _numPending == 0; }
+    [[nodiscard]] bool empty() const { return numPending() == 0; }
 
     /**
      * Run events until the queue empties or @p stopAt is reached.
@@ -252,12 +270,13 @@ class EventQueue
     // --- Batched handlers -------------------------------------------
     /**
      * First tick at which something other than the running event may
-     * happen: the earlier of the earliest heap entry and the stop
-     * tick of an active run(stopAt). No event fires before it, so a
-     * handler may treat model state as constant over the ticks below
-     * it and cover many of its own periodic firings at once (the
-     * LLC's eager scan does; DESIGN.md "Eager scan"). A stale heap
-     * entry only makes the horizon earlier than it need be.
+     * happen: the earliest of the heap top, the armed pinned events
+     * and the stop tick of an active run(stopAt). No event fires
+     * before it, so a handler may treat model state as constant over
+     * the ticks below it and cover many of its own periodic firings
+     * at once (the LLC's eager scan does; DESIGN.md "Eager scan"). A
+     * stale heap entry only makes the horizon earlier than it need
+     * be.
      *
      * Contract: step() has no stop tick, so the horizon of an event
      * fired by step() reaches the next pending event. A caller that
@@ -320,9 +339,8 @@ class EventQueue
     /**
      * Heap key: strict total order by (when, key). The key's high
      * bits are the monotonic schedule sequence, so comparing keys is
-     * comparing schedule order — same-tick FIFO — and the 16-byte
-     * entry puts all four children of a 4-ary heap node in one cache
-     * line.
+     * comparing schedule order — same-tick FIFO — and four 16-byte
+     * entries share one cache line.
      */
     struct Entry
     {
@@ -342,6 +360,12 @@ class EventQueue
     {
         return (static_cast<unsigned __int128>(e.when) << 64) | e.key;
     }
+
+    /**
+     * (when, key) of a disarmed pinned event: after every armed one,
+     * since no packed key reaches all ones.
+     */
+    static constexpr Entry kDisarmed{MaxTick, ~std::uint64_t{0}};
 
     /** Heap order predicate: true iff @p a fires after @p b. */
     [[nodiscard]] static bool
@@ -436,6 +460,33 @@ class EventQueue
         return slotRef(slotOf(e.key)).pendingKey == e.key;
     }
 
+    /** Pop cancelled entries off the heap top. */
+    void
+    dropStaleTop()
+    {
+        while (!_heap.empty() && !entryLive(_heap.front()))
+            popTop();
+    }
+
+    /**
+     * True iff the earliest armed pinned event fires before the heap
+     * top, which must be live (call dropStaleTop() first).
+     */
+    [[nodiscard]] bool
+    pinnedFirst() const
+    {
+        return _heap.empty() ? _pinnedTop != nullptr
+                             : key128(_pinnedTopAt) < key128(_heap.front());
+    }
+
+    /** Recompute the earliest armed pinned event. */
+    void refreshPinnedTop();
+
+    /** Fire the earliest armed pinned event at its tick. */
+    void firePinned();
+
+    void unregisterPinned(PinnedEvent &event);
+
     std::uint32_t acquireSlot();
     void releaseSlot(std::uint32_t index);
 
@@ -462,9 +513,17 @@ class EventQueue
     /** Stop tick of the active run(); MaxTick outside run(). */
     Tick _stopAt = MaxTick;
     std::uint64_t _nextSeq = 1;
+    /** Pending heap events (pinned events are counted apart). */
     std::size_t _numPending = 0;
 
     std::vector<Entry> _heap;
+
+    // --- Pinned events -----------------------------------------------
+    std::vector<PinnedEvent *> _pinned;
+    /** The earliest armed pinned event and its (when, key). */
+    PinnedEvent *_pinnedTop = nullptr;
+    Entry _pinnedTopAt = kDisarmed;
+    std::size_t _armedPinned = 0;
 
     // --- Slot pool -------------------------------------------------
     std::vector<std::unique_ptr<Slot[]>> _chunks;
@@ -477,6 +536,90 @@ class EventQueue
         OutlineBlock *next;
     };
     OutlineBlock *_outlineFree[kOutlineBuckets] = {};
+};
+
+/**
+ * An event owned by its component, with one fixed action and at most
+ * one pending firing, kept outside the heap. schedule() arms it, or
+ * re-arms a pending one in place, with a fresh key from the queue's
+ * schedule counter, so it fires exactly where deschedule + schedule
+ * of a heap event would have, at the cost of no slot, no callable and
+ * no heap entry. Like a heap event it is disarmed while its action
+ * runs, so the action may re-arm it.
+ *
+ * It registers with its queue on construction and unregisters on
+ * destruction; the queue must outlive it, as it outlives every
+ * component holding an EventQueue&.
+ */
+class EventQueue::PinnedEvent
+{
+  public:
+    /** @p action: a small trivially destructible callable, e.g. [this]. */
+    template <typename F>
+    PinnedEvent(EventQueue &eventq, F action) : _eventq(eventq)
+    {
+        static_assert(std::is_invocable_v<F &>,
+                      "pinned action must be callable with no args");
+        static_assert(sizeof(F) <= sizeof(_action) &&
+                          alignof(F) <= alignof(void *) &&
+                          std::is_trivially_destructible_v<F>,
+                      "pinned action must be a small trivially "
+                      "destructible callable");
+        ::new (static_cast<void *>(_action)) F(std::move(action));
+        _invoke = [](void *obj) { (*static_cast<F *>(obj))(); };
+        eventq._pinned.push_back(this);
+    }
+
+    ~PinnedEvent() { _eventq.unregisterPinned(*this); }
+
+    PinnedEvent(const PinnedEvent &) = delete;
+    PinnedEvent &operator=(const PinnedEvent &) = delete;
+
+    /**
+     * Fire at absolute tick @p when (>= curTick()), replacing any
+     * pending firing. Consumes one sequence number.
+     */
+    void
+    schedule(Tick when)
+    {
+        EventQueue &q = _eventq;
+        panic_if(when < q._curTick,
+                 "scheduling into the past: when=%llu cur=%llu",
+                 static_cast<unsigned long long>(when),
+                 static_cast<unsigned long long>(q._curTick));
+        panic_if(q._nextSeq >= kMaxSeq,
+                 "event sequence counter exhausted");
+        const Tick was = _at.when;
+        if (!scheduled())
+            ++q._armedPinned;
+        _at = Entry{when, q._nextSeq++ << kSlotBits};
+        if (q._pinnedTop == this) {
+            // Moved earlier, it still precedes every other; moved
+            // later, another may now be first.
+            if (when < was)
+                q._pinnedTopAt = _at;
+            else
+                q.refreshPinnedTop();
+        } else if (key128(_at) < key128(q._pinnedTopAt)) {
+            q._pinnedTop = this;
+            q._pinnedTopAt = _at;
+        }
+    }
+
+    /** True iff a firing is pending. */
+    [[nodiscard]] bool scheduled() const { return _at.key != kDisarmed.key; }
+
+    /** Tick of the pending firing; MaxTick when none. */
+    [[nodiscard]] Tick when() const { return _at.when; }
+
+  private:
+    friend class EventQueue;
+
+    EventQueue &_eventq;
+    /** (when, key) of the pending firing; kDisarmed when none. */
+    Entry _at = kDisarmed;
+    void (*_invoke)(void *);
+    alignas(void *) unsigned char _action[2 * sizeof(void *)];
 };
 
 } // namespace mellowsim

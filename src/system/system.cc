@@ -84,13 +84,14 @@ System::run()
     // and report what was measured — never assert or abort on a
     // memory that wore out. Checked after every event, so the stop
     // point is the event that crossed the floor, whatever span of
-    // ticks an event covers; with no floor configured the check ends
-    // at its first compare.
+    // ticks an event covers; with no floor configured it is never
+    // polled.
+    const bool poll_floor = _memory->hasCapacityFloor();
     bool capacity_exhausted = false;
     while (!_core->done()) {
         if (!_eventq.step())
             break;
-        if (_memory->capacityFloorReached()) {
+        if (poll_floor && _memory->capacityFloorReached()) {
             capacity_exhausted = true;
             break;
         }

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -386,6 +387,216 @@ TEST(EventQueue, AdvanceToOutsideTheHorizonPanics)
     eq.run(20);
     EXPECT_TRUE(checked);
     EXPECT_EQ(eq.curTick(), 20u);
+}
+
+// --- Pinned events ------------------------------------------------------
+
+namespace
+{
+
+/**
+ * Replays one random script on its own queue. Event -1 is the
+ * self-re-arming event: a PinnedEvent, or (the reference) a heap event
+ * that every re-arm deschedules and schedules anew. Every firing may
+ * re-arm it (earlier, later or at the current tick), schedule an
+ * ordinary event or cancel one, drawing from a private generator; a
+ * second replay with the same seed makes the same draws for as long
+ * as both fire the same sequence.
+ */
+class ScriptReplay
+{
+  public:
+    struct Fire
+    {
+        Tick when;
+        int id;
+        Tick horizon; // after the firing's own actions
+        Tick stop;
+        int round;
+        friend bool operator==(const Fire &, const Fire &) = default;
+    };
+
+    ScriptReplay(bool pinned, std::uint64_t seed) : _rng(seed)
+    {
+        if (pinned)
+            _pin.emplace(_eq, [this] { onFire(-1); });
+    }
+
+    /** Run the script for @p rounds outer rounds; return the fires. */
+    std::vector<Fire>
+    play(int rounds)
+    {
+        for (_round = 0; _round < rounds; ++_round) {
+            act(/*firing=*/false);
+            switch (next() % 4) {
+            case 0: // drain one event at a time
+                _stop = MaxTick;
+                for (std::uint64_t n = next() % 4; n > 0 && _eq.step();)
+                    --n;
+                break;
+            default: // drain to a stop boundary, possibly this tick
+                _stop = _eq.curTick() + next() % 12;
+                _eq.run(_stop);
+                _stop = MaxTick;
+                break;
+            }
+        }
+        _eq.run();
+        EXPECT_EQ(_eq.numPending(), 0u);
+        return _fires;
+    }
+
+  private:
+    std::uint64_t
+    next()
+    {
+        _rng ^= _rng << 13;
+        _rng ^= _rng >> 7;
+        _rng ^= _rng << 17;
+        return _rng;
+    }
+
+    void
+    rearm(Tick when)
+    {
+        if (_pin) {
+            _pin->schedule(when);
+        } else {
+            _eq.deschedule(_pinHandle);
+            _pinHandle = _eq.schedule(when, [this] { onFire(-1); });
+        }
+    }
+
+    void
+    onFire(int id)
+    {
+        const Tick now = _eq.curTick();
+        act(/*firing=*/true);
+        _fires.push_back({now, id, _eq.horizon(), _stop, _round});
+    }
+
+    void
+    act(bool firing)
+    {
+        const unsigned n = 1 + next() % 3;
+        for (unsigned i = 0; i < n; ++i) {
+            const Tick now = _eq.curTick();
+            switch (next() % 5) {
+            case 0:
+            case 1: // re-arm, often at the current tick
+                rearm(now + (next() % 3 == 0 ? 0 : next() % 9));
+                break;
+            case 2:
+            case 3: {
+                const int id = _nextId++;
+                _live.push_back(_eq.schedule(now + next() % 6, [this, id] {
+                    onFire(id);
+                }));
+                break;
+            }
+            default:
+                if (!_live.empty())
+                    _eq.deschedule(_live[next() % _live.size()]);
+                break;
+            }
+            if (firing && next() % 2 == 0)
+                break; // keep chains from growing without bound
+        }
+    }
+
+    EventQueue _eq;
+    std::optional<EventQueue::PinnedEvent> _pin;
+    EventHandle _pinHandle;
+    std::uint64_t _rng;
+    std::vector<EventHandle> _live;
+    std::vector<Fire> _fires;
+    Tick _stop = MaxTick;
+    int _round = 0;
+    int _nextId = 0;
+};
+
+} // namespace
+
+TEST(EventQueue, PinnedEventFiresWhereAHeapEventWould)
+{
+    std::size_t later = 0;
+    for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+        const auto pinned =
+            ScriptReplay(true, seed * 0x9e3779b97f4a7c15ull).play(60);
+        const auto heap =
+            ScriptReplay(false, seed * 0x9e3779b97f4a7c15ull).play(60);
+        for (std::size_t i = 0; i < std::min(pinned.size(), heap.size());
+             ++i) {
+            ASSERT_EQ(pinned[i].when, heap[i].when)
+                << "seed " << seed << " fire " << i;
+            ASSERT_EQ(pinned[i].id, heap[i].id)
+                << "seed " << seed << " fire " << i;
+            // The horizon never passes the stop tick, nor the next
+            // firing unless the script scheduled in between. The
+            // reference's stale re-arm entries can only make its
+            // horizon earlier.
+            const ScriptReplay::Fire &f = pinned[i];
+            ASSERT_LE(f.horizon, f.stop);
+            if (i + 1 < pinned.size() && pinned[i + 1].round == f.round) {
+                ASSERT_LE(f.horizon, pinned[i + 1].when);
+            }
+            ASSERT_GE(f.horizon, heap[i].horizon);
+            later += f.horizon > heap[i].horizon;
+        }
+        ASSERT_EQ(pinned.size(), heap.size()) << "seed " << seed;
+    }
+    EXPECT_GT(later, 0u); // some script left a stale reference entry
+}
+
+TEST(EventQueue, PinnedRearmAddsNoHeapEntry)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    EventQueue::PinnedEvent pin(eq, [&] { fired.push_back(eq.curTick()); });
+    EXPECT_FALSE(pin.scheduled());
+    EXPECT_EQ(pin.when(), MaxTick);
+
+    pin.schedule(10);
+    pin.schedule(5);  // earlier
+    pin.schedule(20); // later
+    pin.schedule(7);
+    EXPECT_TRUE(pin.scheduled());
+    EXPECT_EQ(pin.when(), 7u);
+    EXPECT_EQ(eq.rawHeapSize(), 0u);
+    EXPECT_EQ(eq.slotCount(), 0u);
+    EXPECT_EQ(eq.numPending(), 1u);
+    EXPECT_EQ(eq.armedPinned(), 1u);
+    EXPECT_EQ(eq.minPendingTick(), 7u);
+    EXPECT_EQ(eq.horizon(), 7u);
+
+    EXPECT_TRUE(eq.step());
+    EXPECT_FALSE(eq.step());
+    EXPECT_EQ(fired, (std::vector<Tick>{7}));
+    EXPECT_FALSE(pin.scheduled());
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.rawHeapSize(), 0u);
+}
+
+TEST(EventQueue, DestroyingAPinnedEventDisarmsIt)
+{
+    EventQueue eq;
+    std::vector<int> order;
+    EventQueue::PinnedEvent first(eq, [&] { order.push_back(1); });
+    std::optional<EventQueue::PinnedEvent> dropped;
+    dropped.emplace(eq, [&] { order.push_back(0); });
+    EventQueue::PinnedEvent last(eq, [&] { order.push_back(2); });
+    first.schedule(10);
+    dropped->schedule(5);
+    last.schedule(15);
+    EXPECT_EQ(eq.numPending(), 3u);
+
+    dropped.reset(); // armed and earliest
+    EXPECT_EQ(eq.numPending(), 2u);
+    EXPECT_EQ(eq.minPendingTick(), 10u);
+    last.schedule(8);
+    eq.run();
+    EXPECT_EQ(order, (std::vector<int>{2, 1}));
+    EXPECT_TRUE(eq.empty());
 }
 
 // The steady-state tests run a warm-up that grows the kernel's slabs

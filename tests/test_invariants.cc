@@ -91,13 +91,43 @@ class QuietScope
 TEST(EventQueueChecker, PassesOnHealthyQueue)
 {
     EventQueue eq;
+    EventQueue::PinnedEvent pinned(eq, [] {});
     eq.schedule(100, [] {});
     eq.schedule(200, [] {});
     eq.step();
+    // An armed pinned event is pending but owns no heap entry.
+    pinned.schedule(150);
+    ASSERT_EQ(eq.numPending(), 2u);
+    ASSERT_EQ(eq.rawHeapSize(), 1u);
 
     auto v = collect("event-queue", [&](ViolationSink &sink) {
         EventQueueChecker::evaluate(EventQueueChecker::capture(eq), 0,
                                     sink);
+    });
+    EXPECT_TRUE(v.empty());
+}
+
+TEST(EventQueueChecker, DetectsBookkeepingSkew)
+{
+    // Three pending events, but only one heap entry and one armed
+    // pinned event to hold them.
+    EventQueueChecker::Snapshot s;
+    s.curTick = 10;
+    s.minPendingTick = 20;
+    s.rawHeapSize = 1;
+    s.armedPinned = 1;
+    s.numPending = 3;
+    auto v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(s, 0, sink);
+    });
+    ASSERT_EQ(v.size(), 1u);
+    EXPECT_NE(v[0].message.find("event bookkeeping skew"),
+              std::string::npos);
+
+    // A second armed pinned event accounts for the third.
+    s.armedPinned = 2;
+    v = collect("event-queue", [&](ViolationSink &sink) {
+        EventQueueChecker::evaluate(s, 0, sink);
     });
     EXPECT_TRUE(v.empty());
 }
