@@ -150,22 +150,26 @@ ConfigFile::parseLines(const std::string &text, const std::string &name,
 bool
 ConfigFile::has(const std::string &key) const
 {
+    return find(key) != nullptr;
+}
+
+const ConfigEntry *
+ConfigFile::find(const std::string &key) const
+{
     for (const ConfigEntry &entry : _entries) {
         if (entry.key == key)
-            return true;
+            return &entry;
     }
-    return false;
+    return nullptr;
 }
 
 const ConfigEntry &
 ConfigFile::require(const std::string &key) const
 {
-    for (const ConfigEntry &entry : _entries) {
-        if (entry.key == key)
-            return entry;
-    }
-    fatal("config %s: missing required key '%s'", _source.c_str(),
-          key.c_str());
+    const ConfigEntry *entry = find(key);
+    fatal_if(entry == nullptr, "config %s: missing required key '%s'",
+             _source.c_str(), key.c_str());
+    return *entry;
 }
 
 double
@@ -187,7 +191,9 @@ ConfigFile::count(const std::string &key) const
 {
     const ConfigEntry &entry = require(key);
     double parsed = numeric(key);
-    fatal_if(parsed < 0 || parsed != static_cast<double>(
+    // 2^64 and beyond would make the integer cast below undefined.
+    fatal_if(parsed < 0 || !(parsed < 0x1p64) ||
+                 parsed != static_cast<double>(
                                static_cast<std::uint64_t>(parsed)),
              "config %s:%d: key '%s': '%s' is not a non-negative "
              "integer",

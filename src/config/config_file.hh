@@ -11,8 +11,7 @@
  *     INCLUDE base.config
  *
  *  - `;` starts a comment (anywhere on a line); `#` and `//` are
- *    accepted as comment leaders too, so annotations shared with the
- *    C++ lint tooling parse unchanged.
+ *    accepted as comment leaders too.
  *  - `INCLUDE <path>` splices another file, resolved relative to the
  *    including file; include cycles and runaway depth are fatal.
  *  - Later assignments override earlier ones (including values pulled
@@ -64,6 +63,9 @@ class ConfigFile
                 const std::string &dir = ".");
 
     [[nodiscard]] bool has(const std::string &key) const;
+
+    /** The binding of @p key, or nullptr when the file lacks it. */
+    [[nodiscard]] const ConfigEntry *find(const std::string &key) const;
 
     /** All bindings, in first-seen key order (emit order). */
     [[nodiscard]] const std::vector<ConfigEntry> &entries() const

@@ -1,9 +1,12 @@
 #include "config/device_config.hh"
 
 #include <algorithm>
+#include <bit>
 #include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
 #include <sstream>
 
 #include "energy/energy_model.hh"
@@ -36,15 +39,285 @@ nanosecondsOf(Tick t)
     return static_cast<double>(t) / static_cast<double>(kNanosecond);
 }
 
-CellType
-cellTypeFromName(const std::string &name, const std::string &source)
+/**
+ * One schema row: a key a device file may carry, whether binding
+ * requires it, and the inclusive range of its value in the unit the
+ * file spells it in. A flag or word key has no range (NaN bounds):
+ * its accessor and the cell-name lookup reject bad text. A key
+ * without a row is fatal. Every count the binder narrows to
+ * `unsigned` has a max far below 2^32, so the casts are exact.
+ */
+struct KeyRow
 {
+    const char *key;
+    bool required;
+    double min = std::numeric_limits<double>::quiet_NaN();
+    double max = std::numeric_limits<double>::quiet_NaN();
+};
+
+constexpr KeyRow kKeys[] = {
+    // Interface
+    {"CLK", true, 10, 10000},                   // MHz
+    {"RATE", false, 1, 8},
+    {"BusWidth", false, 8, 1024},               // bits
+    // Timing (Table II), ns
+    {"tRCD", true, 1, 10000},
+    {"tCAS", true, 0.1, 1000},
+    {"tWP", true, 1, 100000},
+    {"tFAW", true, 1, 10000},
+    {"tBurst", true, 0.5, 1000},
+    // Geometry
+    {"CHANNELS", true, 1, 16},
+    {"RANKS", true, 1, 16},
+    {"BANKS", true, 1, 64},                     // per rank
+    {"ROWS", true, 1, 67108864},                // per bank
+    {"RowBytes", true, 64, 1048576},
+    {"RowBufferBytes", true, 64, 65536},
+    {"InterleaveBytes", false, 64, 1048576},
+    {"CapacityBytes", true, 1048576, 1099511627776.0},
+    {"PageScramble", false},
+    {"PageBytes", false, 512, 65536},
+    // Endurance (Equation 2)
+    {"BaseEndurance", true, 1e3, 1e12},         // writes
+    {"ExpoFactor", true, 0, 6},
+    // Energy (Tables V/VI), pJ unless noted
+    {"Cell", false},
+    {"CellEnergyPj", false, 0.001, 1000},
+    {"PeripheralWritePj", false, 1, 100000},
+    {"PeripheralSlowWritePj", false, 1, 100000},
+    {"BitsPerWrite", false, 64, 4096},
+    {"SlowCellEnergyFactor", false, 1, 10},
+    {"BufferReadPj", false, 1, 100000},
+    {"RowHitReadPj", false, 0.1, 100000},
+    // Controller provisioning
+    {"ReadQueueSize", false, 1, 1024},
+    {"WriteQueueSize", false, 1, 1024},
+    {"EagerQueueSize", false, 0, 1024},
+    {"DrainLowThreshold", false, 0, 1024},
+    {"BusLeadBursts", false, 0, 256},
+    {"ForwardLatencyNs", false, 0.1, 1000},
+    {"RecentReadWindowNs", false, 1, 100000},
+    {"MaxWriteCancellations", false, 0, 64},
+    {"LevelingEfficiency", false, 0.1, 1},
+};
+
+/**
+ * What a constraint row sees: the bound device, its controller, and
+ * ROWS, the one key binding folds into CapacityBytes instead of
+ * keeping. Absent optional keys already hold their defaults.
+ */
+struct Bound
+{
+    const DeviceConfig &dev;
+    const MemControllerConfig &c;
+    std::uint64_t rows;
+};
+
+/**
+ * One cross-field rule: its family, its id, the key whose line a
+ * violation names, the predicate that must hold, and why. The key
+ * pass has bounded every value, so the integer arithmetic below
+ * cannot overflow.
+ */
+struct Constraint
+{
+    const char *family;
+    const char *id;
+    const char *anchor;
+    bool (*holds)(const Bound &);
+    const char *message;
+};
+
+constexpr Constraint kConstraints[] = {
+    // Timing inequalities, in integer ticks
+    {"timing-inequality", "tburst-transfers-line", "tBurst",
+     [](const Bound &b) {
+         const NvmTimingParams &t = b.c.timing;
+         return t.tBurst * b.dev.dataRate * b.dev.busWidthBits ==
+                b.c.energy.bitsPerWrite * t.tCK;
+     },
+     "tBurst must be BitsPerWrite/BusWidth beats of tCK at the data "
+     "rate: one line per burst"},
+    {"timing-inequality", "faw-covers-spacing", "tFAW",
+     [](const Bound &b) {
+         return b.c.timing.tFAW >= 4 * b.c.timing.tCK;
+     },
+     "tFAW must cover four activate issue slots (4 x tCK)"},
+    {"timing-inequality", "faw-covers-burst", "tFAW",
+     [](const Bound &b) { return b.c.timing.tFAW >= b.c.timing.tBurst; },
+     "a four-activate window shorter than one burst is unsatisfiable"},
+    {"timing-inequality", "rcd-covers-cas", "tRCD",
+     [](const Bound &b) { return b.c.timing.tRCD >= b.c.timing.tCAS; },
+     "row activation (tRCD) cannot be faster than a column access "
+     "(tCAS)"},
+    {"timing-inequality", "wp-dominates-cas", "tWP",
+     [](const Bound &b) { return b.c.timing.tWP >= b.c.timing.tCAS; },
+     "a write pulse (tWP) cannot be faster than a column access "
+     "(tCAS)"},
+    {"timing-inequality", "forward-beats-array", "ForwardLatencyNs",
+     [](const Bound &b) {
+         return b.c.forwardLatency < b.c.timing.tRCD;
+     },
+     "write-queue forwarding must beat an array activate "
+     "(ForwardLatencyNs < tRCD)"},
+
+    // Geometry and capacity arithmetic, in bytes
+    {"geometry-arithmetic", "capacity-product", "CapacityBytes",
+     [](const Bound &b) {
+         const MemGeometry &g = b.c.geometry;
+         return std::uint64_t{b.dev.numChannels} * g.numBanks * b.rows *
+                    g.rowBytes ==
+                g.capacityBytes;
+     },
+     "CHANNELS*RANKS*BANKS*ROWS*RowBytes must equal CapacityBytes"},
+    {"geometry-arithmetic", "rowbuffer-divides-row", "RowBufferBytes",
+     [](const Bound &b) {
+         return b.c.geometry.rowBytes % b.c.geometry.rowBufferBytes == 0;
+     },
+     "the row must be a whole number of row-buffer widths"},
+    {"geometry-arithmetic", "interleave-row-aligned", "InterleaveBytes",
+     [](const Bound &b) {
+         const MemGeometry &g = b.c.geometry;
+         return g.interleaveBytes % g.rowBytes == 0 ||
+                g.rowBytes % g.interleaveBytes == 0;
+     },
+     "the channel interleave granularity must align with the row"},
+    {"geometry-arithmetic", "pow2-geometry", "RowBytes",
+     [](const Bound &b) {
+         const MemGeometry &g = b.c.geometry;
+         return std::has_single_bit(g.rowBytes) &&
+                std::has_single_bit(g.rowBufferBytes) &&
+                std::has_single_bit(g.interleaveBytes) &&
+                std::has_single_bit(g.pageBytes) &&
+                std::has_single_bit(g.capacityBytes);
+     },
+     "byte geometries must be powers of two (the address map shifts "
+     "and masks)"},
+
+    // Energy sanity versus the Table VI linear model
+    {"energy-model", "slow-peripheral-cheaper", "PeripheralSlowWritePj",
+     [](const Bound &b) {
+         return b.c.energy.peripheralSlowWritePj <=
+                b.c.energy.peripheralWritePj;
+     },
+     "Table VI: slow writes relax the charge pumps, so peripheral "
+     "energy must not rise"},
+    {"energy-model", "slow-write-net-cost", "SlowCellEnergyFactor",
+     [](const Bound &b) {
+         const EnergyModel model(b.c.energy);
+         return model.writeEnergyPj(true) >= model.writeEnergyPj(false);
+     },
+     "Table VI: a slow write must cost at least as much energy as a "
+     "normal write"},
+    {"energy-model", "buffer-read-dominates-hit", "BufferReadPj",
+     [](const Bound &b) {
+         return b.c.energy.bufferReadPj >= b.c.energy.rowHitReadPj;
+     },
+     "a full row-buffer fill must cost at least a row-hit read"},
+    {"energy-model", "line-bits", "BitsPerWrite",
+     [](const Bound &b) {
+         return b.c.energy.bitsPerWrite == kBlockSize * 8;
+     },
+     "the energy model is calibrated per 64-byte (512-bit) line write"},
+    {"energy-model", "buffer-read-per-byte", "BufferReadPj",
+     [](const Bound &b) {
+         const Picojoules perByte =
+             b.c.energy.bufferReadPj /
+             static_cast<double>(b.c.geometry.rowBufferBytes);
+         return perByte >= Picojoules(0.1) && perByte <= Picojoules(16);
+     },
+     "BufferReadPj implies an implausible sense energy per row-buffer "
+     "byte (outside [0.1, 16] pJ)"},
+
+    // Controller provisioning
+    {"controller-sanity", "drain-hysteresis", "DrainLowThreshold",
+     [](const Bound &b) {
+         return b.c.drainLowThreshold < b.c.writeQueueSize;
+     },
+     "the drain-low threshold must sit below WriteQueueSize (the "
+     "drain-high threshold), or a drain never ends"},
+    {"controller-sanity", "eager-within-queue", "EagerQueueSize",
+     [](const Bound &b) {
+         return b.c.eagerQueueSize <= b.c.writeQueueSize;
+     },
+     "eager entries share write-queue provisioning and cannot exceed "
+     "it"},
+    {"controller-sanity", "cancellations-bounded",
+     "MaxWriteCancellations",
+     [](const Bound &b) {
+         return b.c.maxWriteCancellations <= b.c.writeQueueSize;
+     },
+     "more cancellations than write-queue entries can never be "
+     "exercised"},
+
+    // Equation 2: E = E0 * (t / tWP)^C
+    {"pulse-monotonicity", "eq2-gains-endurance", "ExpoFactor",
+     [](const Bound &b) { return b.c.endurance.expoFactor > 0; },
+     "Equation 2 must gain endurance with a slower pulse "
+     "(ExpoFactor > 0), or slow writes buy no lifetime"},
+};
+
+/**
+ * The one way a device file fails a rule: file:line of the key's
+ * winning assignment (the file alone when the key is absent), the key
+ * and its value, and the rule.
+ */
+[[noreturn]] void
+reject(const ConfigFile &cfg, const std::string &key,
+       const std::string &rule, const std::string &why)
+{
+    const ConfigEntry *entry = cfg.find(key);
+    const std::string where =
+        entry != nullptr ? entry->file + ":" + std::to_string(entry->line)
+                         : cfg.source();
+    const std::string subject =
+        entry != nullptr ? key + " " + entry->value : key;
+    fatal("config %s: %s breaks [%s]: %s", where.c_str(),
+          subject.c_str(), rule.c_str(), why.c_str());
+}
+
+/**
+ * The key pass: every key known, every required key present, every
+ * number in range (NaN fails too). Runs before binding narrows any
+ * value.
+ */
+void
+checkKeys(const ConfigFile &cfg)
+{
+    for (const ConfigEntry &entry : cfg.entries()) {
+        const bool known = std::any_of(
+            std::begin(kKeys), std::end(kKeys),
+            [&](const KeyRow &row) { return entry.key == row.key; });
+        if (!known)
+            reject(cfg, entry.key, "unknown-key",
+                   "no device key has this name");
+    }
+    for (const KeyRow &row : kKeys) {
+        if (!cfg.has(row.key)) {
+            if (row.required)
+                reject(cfg, row.key, "missing-key",
+                       "the binding requires this key");
+            continue;
+        }
+        if (std::isnan(row.min))
+            continue;
+        const double v = cfg.ratio(row.key);
+        if (!(v >= row.min && v <= row.max))
+            reject(cfg, row.key, "range",
+                   logFormat("outside [%g, %g]", row.min, row.max));
+    }
+}
+
+/** The Table V cell a file names (CellC when it names none). */
+CellType
+cellTypeOf(const ConfigFile &cfg)
+{
+    const std::string name = cfg.wordOr("Cell", "CellC");
     for (CellType cell : kAllCellTypes) {
         if (cellTypeName(cell) == name)
             return cell;
     }
-    fatal("config %s: unknown cell type '%s' (expected CellA..CellE)",
-          source.c_str(), name.c_str());
+    reject(cfg, "Cell", "range", "expected one of CellA..CellE");
 }
 
 } // namespace
@@ -92,10 +365,11 @@ loadDeviceConfig(const std::string &nameOrPath)
 DeviceConfig
 bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
 {
+    checkKeys(cfg);
+
     DeviceConfig dev;
     dev.name = name;
     MemControllerConfig &c = dev.controller;
-    const std::string &src = cfg.source();
 
     // --- Interface ---------------------------------------------------
     c.timing.tCK = clockPeriodTicks(cfg.megahertz("CLK"));
@@ -114,10 +388,6 @@ bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
     const auto ranks = cfg.count("RANKS");
     const auto banksPerRank = cfg.count("BANKS");
     const auto rows = cfg.count("ROWS");
-    fatal_if(dev.numChannels == 0 || ranks == 0 || banksPerRank == 0 ||
-                 rows == 0,
-             "config %s: CHANNELS/RANKS/BANKS/ROWS must be positive",
-             src.c_str());
     c.geometry.numRanks = static_cast<unsigned>(ranks);
     c.geometry.numBanks = static_cast<unsigned>(banksPerRank * ranks);
     c.geometry.rowBytes = cfg.bytes("RowBytes");
@@ -130,16 +400,6 @@ bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
     c.geometry.pageBytes = cfg.has("PageBytes") ? cfg.bytes("PageBytes")
                                                 : c.geometry.pageBytes;
 
-    // The one geometry identity binding cannot defer to configcheck:
-    // a ROWS that disagrees with the capacity arithmetic would build
-    // a memory of a different size than the datasheet promises.
-    fatal_if(static_cast<std::uint64_t>(dev.numChannels) *
-                     c.geometry.numBanks * rows * c.geometry.rowBytes !=
-                 c.geometry.capacityBytes,
-             "config %s: CHANNELS*RANKS*BANKS*ROWS*RowBytes != "
-             "CapacityBytes",
-             src.c_str());
-
     // --- Endurance (Equation 2) --------------------------------------
     // The endurance baseline is the normal write pulse by definition:
     // Endurance(tWP) = E0.
@@ -148,8 +408,7 @@ bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
     c.endurance.expoFactor = cfg.ratio("ExpoFactor");
 
     // --- Energy (Tables V/VI) ----------------------------------------
-    c.energy.cell =
-        cellTypeFromName(cfg.wordOr("Cell", "CellC"), src);
+    c.energy.cell = cellTypeOf(cfg);
     if (cfg.has("CellEnergyPj"))
         c.energy.cellEnergyOverridePj = cfg.picojoules("CellEnergyPj");
     c.energy.peripheralWritePj = cfg.picojoulesOr(
@@ -185,7 +444,27 @@ bindDeviceConfig(const ConfigFile &cfg, const std::string &name)
     c.levelingEfficiency =
         cfg.ratioOr("LevelingEfficiency", c.levelingEfficiency);
 
+    const Bound bound{dev, c, rows};
+    for (const Constraint &rule : kConstraints) {
+        if (!rule.holds(bound))
+            reject(cfg, rule.anchor,
+                   std::string(rule.family) + ": " + rule.id,
+                   rule.message);
+    }
     return dev;
+}
+
+std::vector<std::string>
+deviceConfigRuleFamilies()
+{
+    std::vector<std::string> families = {"unknown-key", "missing-key",
+                                         "range"};
+    // kConstraints keeps each family's rows together.
+    for (const Constraint &rule : kConstraints) {
+        if (families.back() != rule.family)
+            families.emplace_back(rule.family);
+    }
+    return families;
 }
 
 std::string

@@ -13,9 +13,12 @@
  * config text, and the two compose into the round-trip oracle pinned
  * by tests/test_config.cc.
  *
- * The full field table, units and the constraint system every shipped
- * config must satisfy (checked statically by
- * tools/analyze/configcheck.py) are documented in DESIGN.md §14.
+ * Binding checks every load against one rule table: a row per key
+ * (unknown keys, required keys, inclusive ranges) and a row per
+ * cross-field constraint (timing inequalities, geometry arithmetic,
+ * Table-VI energy sanity, controller provisioning, Equation 2). A
+ * violation is fatal and names the file:line, the key and the rule;
+ * DESIGN.md §14 lists the rules.
  */
 
 #ifndef MELLOWSIM_CONFIG_DEVICE_CONFIG_HH
@@ -72,13 +75,22 @@ struct DeviceConfig
 [[nodiscard]] DeviceConfig loadDeviceConfig(
     const std::string &nameOrPath);
 
-/** Bind an already-parsed config file. */
+/**
+ * Bind an already-parsed config file, checking it against the rule
+ * table first (see file comment); any violation is fatal().
+ */
 [[nodiscard]] DeviceConfig bindDeviceConfig(const ConfigFile &cfg,
                                             const std::string &name);
 
 /**
+ * The rule families binding enforces, in table order: the key pass
+ * (unknown-key, missing-key, range), then each cross-field family.
+ */
+[[nodiscard]] std::vector<std::string> deviceConfigRuleFamilies();
+
+/**
  * Canonical config text for a bound device: every schema key, one per
- * line, in DESIGN.md §14 field-table order. parse -> bind -> emit ->
+ * line, in the order of the binder's key table. parse -> bind -> emit ->
  * parse -> bind is field-identical (the round-trip oracle).
  */
 [[nodiscard]] std::string emitDeviceConfig(const DeviceConfig &device);

@@ -1,10 +1,4 @@
-"""Minimal SARIF 2.1.0 emitter shared by mellow-analyze and
-mellow-configcheck.
-
-``to_sarif`` defaults to the mellow-analyze driver identity so existing
-callers are unchanged; configcheck passes its own tool name, rule list
-and descriptions.
-"""
+"""Minimal SARIF 2.1.0 emitter for mellow-analyze."""
 
 from __future__ import annotations
 
@@ -42,22 +36,14 @@ _RULE_DESCRIPTIONS = {
 }
 
 
-def to_sarif(findings: list[Finding], tool_version: str = "1.0.0",
-             tool_name: str = "mellow-analyze",
-             information_uri: str = "tools/analyze/mellow_analyze.py",
-             rule_ids: tuple[str, ...] | None = None,
-             rule_descriptions: dict[str, str] | None = None) -> str:
-    if rule_ids is None:
-        rule_ids = ALL_RULES
-    if rule_descriptions is None:
-        rule_descriptions = _RULE_DESCRIPTIONS
+def to_sarif(findings: list[Finding], tool_version: str = "1.0.0") -> str:
     rules = [
         {
             "id": rule,
-            "shortDescription": {"text": rule_descriptions.get(rule, rule)},
+            "shortDescription": {"text": _RULE_DESCRIPTIONS.get(rule, rule)},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule in rule_ids
+        for rule in ALL_RULES
     ]
     results = [
         {
@@ -86,8 +72,8 @@ def to_sarif(findings: list[Finding], tool_version: str = "1.0.0",
             {
                 "tool": {
                     "driver": {
-                        "name": tool_name,
-                        "informationUri": information_uri,
+                        "name": "mellow-analyze",
+                        "informationUri": "tools/analyze/mellow_analyze.py",
                         "version": tool_version,
                         "rules": rules,
                     }

@@ -39,12 +39,6 @@ if command -v python3 >/dev/null 2>&1; then
     echo "lint.sh: running tools/mellow_lint.py"
     python3 tools/mellow_lint.py
 
-    # Device-config constraint verifier over the shipped zoo: schema,
-    # dimensional analysis, timing inequalities, geometry arithmetic,
-    # energy sanity. A datasheet typo fails lint, not a simulation.
-    echo "lint.sh: running tools/analyze/configcheck.py"
-    python3 tools/analyze/configcheck.py
-
     # Semantic analyzer. --backend auto prefers libclang when the pip
     # package is installed (CI) and warns + falls back to the textual
     # backend otherwise, so the four semantic rules still gate locally.
