@@ -36,7 +36,7 @@ struct Violation
     std::string message; ///< what is inconsistent, with the numbers
 
     /** Render as a single human-readable line. */
-    std::string
+    [[nodiscard]] std::string
     format() const
     {
         return "[" + checker + "] tick " + std::to_string(tick) + ": " +

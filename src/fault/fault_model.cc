@@ -308,7 +308,7 @@ FaultModel::remapTableValid() const
     std::uint64_t stride =
         _config.blocksPerBank + _config.spareLinesPerBank;
     std::unordered_set<std::uint64_t> targets;
-    // mlint: allow(nondet-handler): order-independent validity check
+    // mlint: allow(nondeterminism): order-independent validity check
     // over the remap table; every path through it returns the same
     // verdict regardless of iteration order.
     for (const auto &[key, spare] : _remap) {

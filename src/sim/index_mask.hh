@@ -11,7 +11,7 @@
  *
  * Like IndexedVector, this is typed-index infrastructure: the single
  * .value() escape below is the sanctioned bridge from an ordinal id
- * to a raw bit position (whitelisted in tools/analyze/whitelists.toml).
+ * to a raw bit position (whitelisted in tools/analyze/rules.toml).
  */
 
 #ifndef MELLOWSIM_SIM_INDEX_MASK_HH

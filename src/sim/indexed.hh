@@ -12,7 +12,7 @@
  *
  * Together with strong_types.hh this file is type infrastructure: the
  * single `.value()` call below is the sanctioned interior of the
- * typed-index bridge, whitelisted in tools/analyze/whitelists.toml and
+ * typed-index bridge, whitelisted in tools/analyze/rules.toml and
  * audited by the `value-escape` rule of tools/analyze/mellow_analyze.py.
  */
 

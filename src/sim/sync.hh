@@ -3,19 +3,18 @@
  * Concurrency primitives for mellowsim.
  *
  * This header is the ONLY sanctioned home of raw standard-library
- * synchronization primitives (std::mutex, std::thread, ...);
- * tools/mellow_lint.py's `raw-sync-primitive` rule rejects them
+ * synchronization primitives and atomics (std::mutex, std::thread,
+ * std::atomic, ...); mellow-analyze's `raw-sync` rule rejects them
  * anywhere else. Everything that shares state across threads goes
- * through these wrappers, so the confinement analysis
- * (tools/analyze/confinement.toml) has a closed vocabulary of
- * "synchronized" types: mutable state shared across threads must be
- * one of these types (or std::atomic / thread_local), or the
- * `confinement-global` rule flags it.
+ * through these wrappers, so the confinement analysis has a closed
+ * vocabulary of "synchronized" types: mutable state shared across
+ * threads must be one of these types (or std::atomic / thread_local),
+ * or the `confinement-global` rule flags it.
  *
  * The concurrency model itself (each System is confined to one sweep
  * worker; what is shared immutable; what must be synchronized) is
- * documented in DESIGN.md §11 and declared machine-checkably in
- * tools/analyze/confinement.toml.
+ * documented in DESIGN.md §11 and declared machine-checkably in the
+ * [confinement-global] table of tools/analyze/rules.toml.
  */
 
 #ifndef MELLOWSIM_SIM_SYNC_HH

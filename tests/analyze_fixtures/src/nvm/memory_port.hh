@@ -10,5 +10,5 @@ class MemoryPort
   public:
     virtual ~MemoryPort() = default;
     virtual bool writeback(MemRequest req) = 0;
-    virtual bool eagerQueueHasSpace() const = 0;
+    [[nodiscard]] virtual bool eagerQueueHasSpace() const = 0;
 };

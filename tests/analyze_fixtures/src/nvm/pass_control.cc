@@ -1,10 +1,24 @@
 // analyze-expect: none
 // Positive control: the typed index stays inside the typed domain,
-// the handed-off request is never touched again, and the module only
-// speaks to its manifested dependencies.
+// the handed-off request is never touched again, the module only
+// speaks to its manifested dependencies, namespace-scope function
+// declarations are not mistaken for direct-initialised globals, and
+// a handler-tier API off the event path stays clean.
 #include "nvm/queues.hh"
 
 #include "sim/event_queue.hh"
+
+#include <chrono>
+
+Tick retryDelay(Tick base);
+Tick backoffFor(Tick);
+unsigned clampBank(unsigned);
+
+long
+hostStartupStamp()
+{
+    return std::chrono::steady_clock::now().time_since_epoch().count();
+}
 
 void
 forwardWrite(RequestQueue &queue, MemRequest req)

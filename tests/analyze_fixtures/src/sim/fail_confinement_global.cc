@@ -13,7 +13,7 @@ namespace
 
 std::uint64_t g_eventsDispatched = 0;
 
-// mlint: allow(atomic-order): raw-atomic exemplar for the exemption list
+// mlint: allow(raw-sync): raw-atomic exemplar for the exemption list
 std::atomic<std::uint64_t> g_allocSamples{0};
 
 mellowsim::sync::TicketCounter g_retries;

@@ -1,6 +1,7 @@
-"""mellow-analyze: semantic static analysis for mellowsim.
+"""mellow-analyze: the static checker for mellowsim.
 
-See mellow_analyze.py for the command-line entry point and DESIGN.md
-("Static analysis architecture") for how this layer relates to the
-compiler / clang-tidy layer and the regex lint (tools/mellow_lint.py).
+See mellow_analyze.py for the command-line entry point, registry.py
+for the rule list, rules.toml for the manifest, and DESIGN.md §9
+("Static analysis architecture") for how it relates to the compiler /
+clang-tidy layer.
 """

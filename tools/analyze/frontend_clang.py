@@ -24,8 +24,8 @@ from frontend_textual import (
     BANNED_PATTERNS,
     INCLUDE_RE,
     RANGE_FOR_RE,
-    UNORDERED_DECL_RE,
     strip_comments_and_strings,
+    unordered_names,
 )
 from model import STRONG_CLASS_NAMES, FunctionDef, Project, ValueCall
 
@@ -73,10 +73,10 @@ def _rel(path: str, root: str) -> str:
 
 class _TUWalker:
     def __init__(self, project: Project, root: str,
-                 unordered_names: set[str]):
+                 unordered: set[str]):
         self.project = project
         self.root = root
-        self.unordered = unordered_names
+        self.unordered = unordered
         self.seen_funcs: set[tuple[str, int, str]] = set()
         self.seen_values: set[tuple[str, int]] = set()
 
@@ -98,10 +98,9 @@ class _TUWalker:
     def _lex_facts(self, func: FunctionDef) -> None:
         """Banned APIs / unordered iteration scanned lexically over the
         body range (robust against macro-heavy bodies)."""
-        lines = self.project.files.get(func.file)
-        if not lines:
+        clean = self.project.cleaned.get(func.file)
+        if not clean:
             return
-        clean = strip_comments_and_strings(lines)
         for li in range(func.start - 1, min(func.end, len(clean))):
             text = clean[li]
             for pattern, label in BANNED_PATTERNS:
@@ -201,14 +200,12 @@ def build_project(files: dict[str, list[str]], build_dir: str,
     them; includes come from the same lexical scan as the textual
     backend (the rule needs as-written spellings, not resolved paths).
     """
-    project = Project(files=files)
+    project = Project(files=files, cleaned={
+        p: strip_comments_and_strings(ls) for p, ls in files.items()})
 
-    unordered_names: set[str] = set()
+    unordered: set[str] = set()
     for path, lines in files.items():
-        clean = strip_comments_and_strings(lines)
-        for line in clean:
-            for m in UNORDERED_DECL_RE.finditer(line):
-                unordered_names.add(m.group(1))
+        unordered |= unordered_names(project.cleaned[path])
         project.includes[path] = [
             (li + 1, m.group(1))
             for li, line in enumerate(lines)
@@ -216,7 +213,7 @@ def build_project(files: dict[str, list[str]], build_dir: str,
         ]
 
     index = cindex.Index.create()
-    walker = _TUWalker(project, repo_root, unordered_names)
+    walker = _TUWalker(project, repo_root, unordered)
     wanted_cc = {os.path.realpath(os.path.join(repo_root, p))
                  for p in files if p.endswith(".cc")}
 

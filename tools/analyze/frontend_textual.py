@@ -74,12 +74,30 @@ BANNED_PATTERNS = [
     (re.compile(r"\bgetenv\s*\("), "environment read"),
 ]
 
+#: An unordered container declaration. The template argument list may
+#: span lines, so unordered_names() runs it over a file's joined text.
 UNORDERED_DECL_RE = re.compile(
-    r"\bunordered_(?:map|set|multimap|multiset)\s*<[^;{}]*>\s+([A-Za-z_]\w*)"
-)
+    r"\bunordered_(?:multimap|multiset|map|set)\s*<[^;{}]*?>\s+"
+    r"([A-Za-z_]\w*)")
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;()]*?:\s*([A-Za-z_][\w.\->]*)\s*\)")
 
 SCHEDULE_RE = re.compile(r"\b(?:schedule|scheduleIn)\s*\(")
+
+
+def unordered_names(clean: list[str]) -> set[str]:
+    """Names of the unordered containers declared in @p clean."""
+    return set(UNORDERED_DECL_RE.findall("\n".join(clean)))
+
+
+def _is_digit_separator(line: str, i: int) -> bool:
+    """True when the quote at @p i sits inside a number (`1'000`): the
+    token it ends starts with a digit. A char literal's token is empty
+    or an encoding prefix (`u8'x'`, `L'x'`)."""
+    start = i
+    while start > 0 and (line[start - 1].isalnum()
+                         or line[start - 1] in "_'"):
+        start -= 1
+    return start < i and line[start].isdigit()
 
 
 def strip_comments_and_strings(lines: list[str]) -> list[str]:
@@ -108,7 +126,7 @@ def strip_comments_and_strings(lines: list[str]) -> list[str]:
                 in_block = True
                 buf.append("  ")
                 i += 2
-            elif ch in "\"'":
+            elif ch in "\"'" and not _is_digit_separator(line, i):
                 quote = ch
                 buf.append(quote)
                 i += 1
@@ -227,7 +245,7 @@ def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
 
 
 def _populate_function_facts(func: FunctionDef, clean: list[str],
-                             unordered_names: set[str]) -> None:
+                             unordered: set[str]) -> None:
     for li in range(func.start - 1, func.end):
         text = clean[li]
         for call in CALL_RE.finditer(text):
@@ -239,12 +257,12 @@ def _populate_function_facts(func: FunctionDef, clean: list[str],
                 func.banned.append((hit.group(0).strip(), li + 1, label))
         for rf in RANGE_FOR_RE.finditer(text):
             container = rf.group(1).split(".")[-1].split(">")[-1]
-            if container in unordered_names:
+            if container in unordered:
                 func.unordered_iters.append((li + 1, container))
 
 
 def _extract_schedule_lambdas(path: str, clean: list[str],
-                              unordered_names: set[str]
+                              unordered: set[str]
                               ) -> list[FunctionDef]:
     """Synthetic root functions for lambdas passed to
     EventQueue::schedule / scheduleIn."""
@@ -265,7 +283,7 @@ def _extract_schedule_lambdas(path: str, clean: list[str],
                 name=f"<lambda@{path}:{i + 1}>", file=path,
                 start=open_pos[0] + 1, end=close + 1,
                 is_schedule_root=True)
-            _populate_function_facts(root, clean, unordered_names)
+            _populate_function_facts(root, clean, unordered)
             roots.append(root)
             break
     return roots
@@ -273,14 +291,15 @@ def _extract_schedule_lambdas(path: str, clean: list[str],
 
 def build_project(files: dict[str, list[str]]) -> Project:
     """Lower the given {path: lines} tree into the Project IR."""
-    project = Project(files=files)
     cleaned = {p: strip_comments_and_strings(ls) for p, ls in files.items()}
+    project = Project(files=files, cleaned=cleaned)
 
     # --- Project-wide maps -------------------------------------------
     decl_types: dict[str, set[str]] = {}
     ret_types: dict[str, set[str]] = {}
-    unordered_names: set[str] = set()
+    unordered: set[str] = set()
     for path, clean in cleaned.items():
+        unordered |= unordered_names(clean)
         for li, line in enumerate(clean):
             for m in DECL_RE.finditer(line):
                 decl_types.setdefault(m.group(2), set()).add(m.group(1))
@@ -291,8 +310,6 @@ def build_project(files: dict[str, list[str]]) -> Project:
                 if nm:
                     ty = RET_TYPE_LINE_RE.match(line).group(1)
                     ret_types.setdefault(nm.group(1), set()).add(ty)
-            for m in UNORDERED_DECL_RE.finditer(line):
-                unordered_names.add(m.group(1))
 
     # --- Per-file facts ----------------------------------------------
     for path, lines in files.items():
@@ -306,8 +323,8 @@ def build_project(files: dict[str, list[str]]) -> Project:
 
         funcs = extract_functions(path, clean)
         for func in funcs:
-            _populate_function_facts(func, clean, unordered_names)
-        funcs.extend(_extract_schedule_lambdas(path, clean, unordered_names))
+            _populate_function_facts(func, clean, unordered)
+        funcs.extend(_extract_schedule_lambdas(path, clean, unordered))
         project.functions.extend(funcs)
 
         def enclosing(line_no: int) -> str:

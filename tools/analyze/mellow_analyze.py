@@ -1,31 +1,31 @@
 #!/usr/bin/env python3
-"""mellow-analyze — semantic static analysis for mellowsim.
+"""mellow-analyze — the static checker for mellowsim.
 
-Seven rules the regex lint (tools/mellow_lint.py) cannot
-express:
+Eleven rules (registry.py), configured by one manifest
+(tools/analyze/rules.toml):
 
-  value-escape      .value() on a strong type outside whitelisted
-                    conversion sites (tools/analyze/whitelists.toml)
-  layering          include-graph / cross-module symbol references
-                    outside the layer manifest (tools/analyze/layers.toml)
-  nondet-handler    wall clocks, raw RNG, unordered iteration or I/O
-                    reachable from an EventQueue::schedule callback
-  request-lifetime  a MemRequest read after std::move() into a queue
-
-plus the confinement rule driven by tools/analyze/confinement.toml
-(the concurrency model of DESIGN.md §11: each System is confined to
-one sweep worker):
-
+  value-escape        .value() on a strong type outside whitelisted
+                      conversion sites
+  layering            include-graph / cross-module symbol references
+                      outside the layer manifest
+  nondeterminism      raw RNG, wall clocks or unordered iteration in
+                      any file; I/O and the wider banned list inside
+                      code reachable from an EventQueue::schedule
+                      callback
+  request-lifetime    a MemRequest read after std::move() into a queue
   confinement-global  mutable static/namespace-scope state that is not
                       atomic, a sync.hh type, thread_local or const
-
-and the parallel-protocol family driven by
-tools/analyze/protocol.toml:
-
-  atomic-order      raw std::atomic / std::memory_order spellings
-                    outside src/sim/sync.hh
-  handler-blocking  a mutex acquisition or blocking call reachable
-                    from an EventQueue::schedule handler
+  raw-sync            raw std::thread / mutex / atomic / ... spellings
+                      outside src/sim/sync.hh
+  handler-blocking    a mutex acquisition or blocking call reachable
+                      from an EventQueue::schedule handler
+  raw-addr-param      raw integer parameters with address-space or time
+                      names in converted headers
+  missing-nodiscard   const accessors without [[nodiscard]] in
+                      converted headers
+  schedule-literal    schedule(<integer literal>): an absolute tick
+  timing-literal      a literal scaled by a tick constant outside the
+                      sanctioned homes of compiled-in timings
 
 Findings honour the shared `// mlint: allow(<rule>): <reason>`
 suppression syntax (tools/analyze/suppress.py).
@@ -33,7 +33,8 @@ suppression syntax (tools/analyze/suppress.py).
 Backends: `--backend clang` uses libclang over the exported
 compile_commands.json (CI); `--backend textual` is a pure-Python
 fallback needing nothing beyond the standard library; `auto` (default)
-tries clang and falls back with a warning.
+tries clang and falls back with a warning. The lexical rules read only
+the source lines, so they agree under both.
 
 Exit codes: 0 clean, 1 findings (or self-test failure), 2 environment
 error (requested backend unavailable, bad manifest, ...).
@@ -47,8 +48,8 @@ import re
 import sys
 import tomllib
 
-from model import ALL_RULES, Finding
-from rules import RULE_CHECKERS
+from model import Finding
+from registry import RULES
 from suppress import parse_suppressions
 
 REPO_ROOT = os.path.realpath(
@@ -59,11 +60,9 @@ EXPECT_RE = re.compile(r"//\s*analyze-expect:\s*([a-z-]+|none)")
 
 
 def _collect_files(root: str, paths: list[str]) -> dict[str, list[str]]:
-    """{root-relative path: lines} for every .cc/.hh under @p paths
-    (default: src/)."""
+    """{root-relative path: lines} for every .cc/.hh under @p paths."""
     files: dict[str, list[str]] = {}
-    targets = paths or ["src"]
-    for target in targets:
+    for target in paths:
         full = os.path.join(root, target)
         if os.path.isfile(full):
             candidates = [full]
@@ -80,14 +79,21 @@ def _collect_files(root: str, paths: list[str]) -> dict[str, list[str]]:
     return files
 
 
-def _load_toml(path: str, what: str) -> dict:
+def _load_manifest(path: str) -> dict:
     try:
         with open(path, "rb") as fh:
-            return tomllib.load(fh)
+            manifest = tomllib.load(fh)
     except (OSError, tomllib.TOMLDecodeError) as exc:
-        print(f"mellow-analyze: cannot load {what} manifest {path}: {exc}",
+        print(f"mellow-analyze: cannot load manifest {path}: {exc}",
               file=sys.stderr)
         sys.exit(2)
+    unknown = [k for k, v in manifest.items()
+               if isinstance(v, dict) and k not in RULES]
+    if unknown:
+        print(f"mellow-analyze: {path}: tables {unknown} name no rule "
+              f"(rules: {', '.join(RULES)})", file=sys.stderr)
+        sys.exit(2)
+    return manifest
 
 
 def _build_project(backend: str, files: dict[str, list[str]],
@@ -111,14 +117,11 @@ def _build_project(backend: str, files: dict[str, list[str]],
     return frontend_textual.build_project(files), "textual"
 
 
-def _run_rules(project, layers: dict, whitelists: dict,
-               confinement: dict, protocol: dict,
+def _run_rules(project, manifest: dict,
                enabled: list[str]) -> list[Finding]:
-    findings: list[Finding] = []
-    for rule in enabled:
-        findings.extend(
-            RULE_CHECKERS[rule](project, layers, whitelists, confinement,
-                                protocol))
+    findings = [Finding(rule, *hit)
+                for rule in enabled
+                for hit in RULES[rule].check(project, manifest)]
 
     # Drop suppressed findings.
     sup_cache = {}
@@ -149,6 +152,8 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
                only_rules: set[str]) -> int:
     """Check `// analyze-expect:` directives; returns the exit code.
 
+    Fixtures are the .cc/.hh files whose first line carries a
+    directive; a finding in any other file (a helper header) fails too.
     A full run (no --only-rule) also fails when some rule has no
     fixture, so the rule list and the fixture tree cannot drift."""
     by_file: dict[str, list[Finding]] = {}
@@ -159,13 +164,16 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
     declared: set[str] = set()
     checked = 0
     for path, lines in sorted(files.items()):
-        if not path.endswith(".cc"):
-            continue
         m = EXPECT_RE.search(lines[0]) if lines else None
         if not m:
+            if path in by_file:
+                failures.append(f"{path}: findings in a file without an "
+                                f"analyze-expect directive: " + "; ".join(
+                                    f"{g.line}:[{g.rule}]"
+                                    for g in by_file[path]))
             continue
         expect = m.group(1)
-        if expect != "none" and expect not in ALL_RULES:
+        if expect != "none" and expect not in RULES:
             failures.append(f"{path}: unknown analyze-expect rule "
                             f"'{expect}'")
             continue
@@ -197,7 +205,7 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
               f"{fixture_root}", file=sys.stderr)
         return 2
     uncovered = [] if only_rules else [
-        r for r in ALL_RULES if r not in declared]
+        r for r in RULES if r not in declared]
     for failure in failures:
         print(f"self-test FAIL: {failure}")
     for rule in uncovered:
@@ -212,10 +220,10 @@ def _self_test(fixture_root: str, files: dict[str, list[str]],
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="mellow-analyze",
-        description="semantic static analysis for mellowsim")
-    parser.add_argument("paths", nargs="*",
+        description="the static checker for mellowsim")
+    parser.add_argument("paths", nargs="*", default=["src", "tools"],
                         help="files/directories to analyze "
-                             "(default: src/)")
+                             "(default: src tools)")
     parser.add_argument("--backend", choices=("auto", "clang", "textual"),
                         default="auto")
     parser.add_argument("-p", "--build-dir", default=None,
@@ -223,61 +231,31 @@ def main(argv: list[str] | None = None) -> int:
                              "(clang backend)")
     parser.add_argument("--root", default=REPO_ROOT,
                         help="tree root paths are relative to")
-    parser.add_argument("--layers",
-                        default=os.path.join(ANALYZE_DIR, "layers.toml"))
-    parser.add_argument("--whitelists",
-                        default=os.path.join(ANALYZE_DIR, "whitelists.toml"))
-    parser.add_argument("--confinement", default=None,
-                        help="confinement manifest (default: a "
-                             "confinement.toml in the analyzed tree "
-                             "root if present, else "
-                             "tools/analyze/confinement.toml)")
-    parser.add_argument("--protocol", default=None,
-                        help="parallel-protocol manifest (default: a "
-                             "protocol.toml in the analyzed tree root "
-                             "if present, else "
-                             "tools/analyze/protocol.toml)")
     parser.add_argument("--sarif", metavar="OUT",
                         help="also write SARIF 2.1.0 to OUT")
     parser.add_argument("--only-rule", action="append", default=[],
-                        metavar="RULE", choices=ALL_RULES,
+                        metavar="RULE", choices=RULES,
                         help="run only this rule (repeatable)")
     parser.add_argument("--disable", action="append", default=[],
-                        metavar="RULE", choices=ALL_RULES,
+                        metavar="RULE", choices=RULES,
                         help="disable this rule (repeatable)")
     parser.add_argument("--self-test", metavar="DIR",
-                        help="run over the fixture tree DIR and check "
-                             "its // analyze-expect: directives")
+                        help="run over the fixture tree DIR with its "
+                             "DIR/rules.toml and check its "
+                             "// analyze-expect: directives")
     args = parser.parse_args(argv)
 
-    enabled = [r for r in ALL_RULES
+    enabled = [r for r in RULES
                if (not args.only_rule or r in args.only_rule)
                and r not in args.disable]
 
     root = os.path.realpath(args.self_test if args.self_test else args.root)
-    files = _collect_files(root, [] if args.self_test else args.paths)
+    files = _collect_files(root, ["src"] if args.self_test else args.paths)
     if not files:
         print("mellow-analyze: no input files", file=sys.stderr)
         return 2
-
-    layers = _load_toml(args.layers, "layer")
-    whitelists = _load_toml(args.whitelists, "whitelist")
-    # A tree-local confinement.toml (e.g. in the fixture tree) wins
-    # over the repo manifest so fixture trees stay self-describing.
-    confinement_path = args.confinement
-    if confinement_path is None:
-        tree_local = os.path.join(root, "confinement.toml")
-        confinement_path = (tree_local if os.path.exists(tree_local)
-                            else os.path.join(ANALYZE_DIR,
-                                              "confinement.toml"))
-    confinement = _load_toml(confinement_path, "confinement")
-    # Same tree-local override for the parallel-protocol manifest.
-    protocol_path = args.protocol
-    if protocol_path is None:
-        tree_local = os.path.join(root, "protocol.toml")
-        protocol_path = (tree_local if os.path.exists(tree_local)
-                         else os.path.join(ANALYZE_DIR, "protocol.toml"))
-    protocol = _load_toml(protocol_path, "protocol")
+    manifest = _load_manifest(os.path.join(
+        root if args.self_test else ANALYZE_DIR, "rules.toml"))
 
     # Self-test always runs the textual backend: the fixtures gate the
     # shared rule logic and must work without libclang.
@@ -285,13 +263,12 @@ def main(argv: list[str] | None = None) -> int:
     project, backend_used = _build_project(
         backend, files, args.build_dir, root)
 
-    findings = _run_rules(project, layers, whitelists, confinement,
-                          protocol, enabled)
+    findings = _run_rules(project, manifest, enabled)
 
     if args.sarif:
         from sarif import to_sarif
         with open(args.sarif, "w", encoding="utf-8") as fh:
-            fh.write(to_sarif(findings))
+            fh.write(to_sarif(findings, RULES))
 
     if args.self_test:
         return _self_test(root, files, findings, enabled,

@@ -1,9 +1,10 @@
 """Backend-neutral intermediate representation for mellow-analyze.
 
 Both frontends (frontend_clang.py, frontend_textual.py) lower the
-source tree into a Project; the rules (rules.py) only ever consume this
-IR, so every rule behaves identically under either backend up to the
-precision of the facts a backend can extract.
+source tree into a Project; the rules (registry.py) only ever consume
+this IR, so every rule behaves identically under either backend up to
+the precision of the facts a backend can extract. The lexical rules
+read nothing but ``Project.cleaned`` and agree by construction.
 """
 
 from __future__ import annotations
@@ -26,27 +27,6 @@ STRONG_TYPES = (
 #: Underlying template/class names the clang backend sees after alias
 #: resolution, mapped back to "a strong type".
 STRONG_CLASS_NAMES = ("StrongOrdinal", "Quantity", "PulseFactor")
-
-#: Rule identifiers (shared with the suppression annotations).
-RULE_VALUE_ESCAPE = "value-escape"
-RULE_LAYERING = "layering"
-RULE_NONDET_HANDLER = "nondet-handler"
-RULE_REQUEST_LIFETIME = "request-lifetime"
-#: Confinement rule (tools/analyze/confinement.toml).
-RULE_CONFINEMENT_GLOBAL = "confinement-global"
-#: Parallel-protocol family (tools/analyze/protocol.toml).
-RULE_ATOMIC_ORDER = "atomic-order"
-RULE_HANDLER_BLOCKING = "handler-blocking"
-
-ALL_RULES = (
-    RULE_VALUE_ESCAPE,
-    RULE_LAYERING,
-    RULE_NONDET_HANDLER,
-    RULE_REQUEST_LIFETIME,
-    RULE_CONFINEMENT_GLOBAL,
-    RULE_ATOMIC_ORDER,
-    RULE_HANDLER_BLOCKING,
-)
 
 
 @dataclass(frozen=True)
@@ -94,6 +74,6 @@ class Project:
     includes: dict[str, list[tuple[int, str]]] = field(default_factory=dict)
     value_calls: list[ValueCall] = field(default_factory=list)
     functions: list[FunctionDef] = field(default_factory=list)
-    #: type/alias name -> (module, defining header) for layering's
-    #: cross-module symbol-reference check; ambiguous names excluded.
-    symbols: dict[str, tuple[str, str]] = field(default_factory=dict)
+    #: path -> lines with comments and string/char literal contents
+    #: blanked (columns preserved); what every lexical rule reads.
+    cleaned: dict[str, list[str]] = field(default_factory=dict)

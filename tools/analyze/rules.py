@@ -1,9 +1,12 @@
-"""The four mellow-analyze rule families, computed over the Project IR.
+"""The whole-program mellow-analyze rules (value-escape, layering,
+nondeterminism, request-lifetime) plus confinement-global, and the
+helpers the other rule modules share.
 
-Every rule returns a list of model.Finding; suppression filtering and
-output formatting happen in mellow_analyze.py. Rules consume only the
-IR (plus the raw file lines for the lexical rules), so they behave the
-same under both frontends.
+Every checker is ``check(project, manifest)``: it reads its own table
+of the rules.toml manifest and returns ``(file, line, message)`` hits;
+mellow_analyze.py stamps the rule id from the registry
+(registry.py), filters suppressions and formats the output. Checkers
+consume only the IR, so they behave the same under both frontends.
 """
 
 from __future__ import annotations
@@ -11,16 +14,10 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 
-from frontend_textual import strip_comments_and_strings
-from model import (
-    RULE_CONFINEMENT_GLOBAL,
-    RULE_LAYERING,
-    RULE_NONDET_HANDLER,
-    RULE_REQUEST_LIFETIME,
-    RULE_VALUE_ESCAPE,
-    Finding,
-    Project,
-)
+from frontend_textual import RANGE_FOR_RE, unordered_names
+from model import FunctionDef, Project
+
+Hit = tuple[str, int, str]
 
 
 def _norm_func(name: str) -> str:
@@ -33,32 +30,32 @@ def _norm_func(name: str) -> str:
     return parts[-1] if parts else name
 
 
-# --- Rule 1: strong-type escape analysis ----------------------------
+# --- value-escape --------------------------------------------------
 
 
-def check_value_escape(project: Project, whitelists: dict) -> list[Finding]:
-    wl = whitelists.get("value_escape", {})
-    wl_funcs = {f for f in wl.get("functions", [])}
+def check_value_escape(project: Project, manifest: dict) -> list[Hit]:
+    wl = manifest.get("value-escape", {})
+    wl_funcs = set(wl.get("functions", []))
     wl_files = tuple(wl.get("files", []))
 
     findings = []
     for call in project.value_calls:
-        if call.file.endswith(wl_files) and wl_files:
+        if call.file.endswith(wl_files):
             continue
         enclosing = _norm_func(call.enclosing) if call.enclosing else ""
         if enclosing and (enclosing in wl_funcs
                           or enclosing.split("::")[-1] in wl_funcs):
             continue
         where = f" in {enclosing}()" if enclosing else ""
-        findings.append(Finding(
-            RULE_VALUE_ESCAPE, call.file, call.line,
+        findings.append((
+            call.file, call.line,
             f".value() on {call.recv_type}{where} escapes the typed "
             f"domain outside the whitelisted conversion sites "
-            f"(tools/analyze/whitelists.toml)"))
+            f"(rules.toml [value-escape])"))
     return findings
 
 
-# --- Rule 2: module layering ----------------------------------------
+# --- layering ------------------------------------------------------
 
 
 def _module_of(path: str, src_root: str) -> str | None:
@@ -77,15 +74,14 @@ def _collect_symbols(project: Project, src_root: str) -> dict:
     type_re = re.compile(
         r"^(?:class|struct|enum\s+class|enum)\s+([A-Z]\w*)")
     alias_re = re.compile(r"^using\s+([A-Z]\w*)\s*=")
-    for path, lines in project.files.items():
+    for path, clean in project.cleaned.items():
         if not path.endswith(".hh"):
             continue
         module = _module_of(path, src_root)
         if module is None:
             continue
         header = path[len(src_root.rstrip("/")) + 1:]
-        clean = strip_comments_and_strings(lines)
-        for i, line in enumerate(clean):
+        for line in clean:
             m = type_re.match(line)
             if m:
                 # Skip forward declarations (`class X;` with no body).
@@ -103,9 +99,9 @@ def _collect_symbols(project: Project, src_root: str) -> dict:
             if len({mod for mod, _ in homes}) == 1}
 
 
-def check_layering(project: Project, layers: dict,
-                   src_root: str = "src") -> list[Finding]:
-    modules = layers.get("modules", {})
+def check_layering(project: Project, manifest: dict,
+                   src_root: str = "src") -> list[Hit]:
+    modules = manifest.get("layering", {}).get("modules", {})
     findings = []
 
     def allowed(from_mod: str, to_mod: str, header: str) -> bool:
@@ -127,10 +123,10 @@ def check_layering(project: Project, layers: dict,
         for line, target in incs:
             to_mod = target.split("/")[0] if "/" in target else from_mod
             if not allowed(from_mod, to_mod, target):
-                findings.append(Finding(
-                    RULE_LAYERING, path, line,
+                findings.append((
+                    path, line,
                     f'module "{from_mod}" may not include "{target}" '
-                    f'(layer manifest tools/analyze/layers.toml allows '
+                    f'(rules.toml [layering] allows '
                     f'{from_mod} -> {sorted(modules[from_mod].get("deps", []))}'
                     f'{" plus restricted headers" if modules[from_mod].get("restricted") else ""})'))
 
@@ -139,11 +135,10 @@ def check_layering(project: Project, layers: dict,
     symbols = _collect_symbols(project, src_root)
     word_res = {name: re.compile(r"\b" + re.escape(name) + r"\b")
                 for name in symbols}
-    for path, lines in project.files.items():
+    for path, clean in project.cleaned.items():
         from_mod = _module_of(path, src_root)
         if from_mod is None or from_mod not in modules:
             continue
-        clean = strip_comments_and_strings(lines)
         reported: set[str] = set()
         for i, line in enumerate(clean):
             for name, (home_mod, header) in symbols.items():
@@ -155,75 +150,116 @@ def check_layering(project: Project, layers: dict,
                     reported.add(name)
                     continue
                 reported.add(name)
-                findings.append(Finding(
-                    RULE_LAYERING, path, i + 1,
+                findings.append((
+                    path, i + 1,
                     f'module "{from_mod}" references {name} (defined in '
                     f'{header}, module "{home_mod}") outside its '
                     f'manifested dependencies'))
     return findings
 
 
-# --- Rule 3: event-handler determinism ------------------------------
+# --- nondeterminism ------------------------------------------------
+#
+# Two tiers. File-wide, in every analyzed file: the raw RNG / wall-clock
+# APIs no simulator or tool source may touch, and range-for over an
+# unordered container declared in the file or in a project header it
+# includes directly. Handler-reachable only: the wider list of the
+# frontends' BANNED_PATTERNS (I/O, getenv, steady_clock, mt19937) and
+# iteration over any unordered container in the project, inside a
+# function reachable from an EventQueue::schedule callback.
+
+_FILE_WIDE_NONDET = (
+    (re.compile(r"\bstd::rand\b|(?<![\w.])\brand\s*\(\s*\)"), "std::rand"),
+    (re.compile(r"(?<![\w.])\bsrand\s*\("), "srand"),
+    (re.compile(r"\bstd::random_device\b"), "std::random_device"),
+    (re.compile(r"(?<![\w.:])\btime\s*\(\s*(?:NULL|nullptr|0|&)"), "time()"),
+    (re.compile(r"\bsystem_clock\b"), "std::chrono::system_clock"),
+    (re.compile(r"\bgettimeofday\s*\("), "gettimeofday"),
+)
 
 
-def check_nondet_handler(project: Project, whitelists: dict) -> list[Finding]:
-    allowed_files = tuple(
-        whitelists.get("nondet_handler", {}).get("allowed_files", []))
-
-    def file_allowed(path: str) -> bool:
-        return path.endswith(allowed_files) if allowed_files else False
-
-    by_simple_name: dict[str, list] = defaultdict(list)
+def handler_reachable(project: Project,
+                      allowed_files: list[str]) -> list[FunctionDef]:
+    """Functions reachable from an EventQueue::schedule root through
+    the call graph (callees matched by simple name). Functions defined
+    in @p allowed_files are neither returned nor traversed."""
+    allowed = tuple(allowed_files)
+    by_simple_name: dict[str, list[FunctionDef]] = defaultdict(list)
     for func in project.functions:
         by_simple_name[func.name.split("::")[-1]].append(func)
 
-    roots = [f for f in project.functions if f.is_schedule_root]
     reachable = []
     seen: set[int] = set()
-    work = list(roots)
+    work = [f for f in project.functions if f.is_schedule_root]
     while work:
         func = work.pop()
         if id(func) in seen:
             continue
         seen.add(id(func))
-        if file_allowed(func.file):
+        if func.file.endswith(allowed):
             continue
         reachable.append(func)
         for callee, _line in func.calls:
-            for target in by_simple_name.get(callee, []):
-                if id(target) not in seen:
-                    work.append(target)
+            work.extend(t for t in by_simple_name.get(callee, [])
+                        if id(t) not in seen)
+    return reachable
 
-    findings = []
-    emitted: set[tuple[str, int, str]] = set()
-    for func in reachable:
-        label = ("an EventQueue::schedule callback"
-                 if func.is_schedule_root else f"{func.name}()")
+
+def handler_label(func: FunctionDef) -> str:
+    return ("an EventQueue::schedule callback"
+            if func.is_schedule_root else f"{func.name}()")
+
+
+def check_nondeterminism(project: Project, manifest: dict) -> list[Hit]:
+    cfg = manifest.get("nondeterminism", {})
+    declared = {path: unordered_names(clean)
+                for path, clean in project.cleaned.items()}
+    headers = [p for p in project.cleaned if p.endswith(".hh")]
+
+    hits: dict[tuple[str, int], str] = {}
+    for path, clean in project.cleaned.items():
+        names = set(declared[path])
+        for _line, target in project.includes.get(path, []):
+            for header in headers:
+                if header == target or header.endswith("/" + target):
+                    names |= declared[header]
+        for i, code in enumerate(clean):
+            for pattern, what in _FILE_WIDE_NONDET:
+                if pattern.search(code):
+                    hits.setdefault(
+                        (path, i + 1),
+                        f"{what} is nondeterministic; use sim/rng.hh / "
+                        f"the event queue clock")
+            for m in RANGE_FOR_RE.finditer(code):
+                container = re.split(r"\.|->", m.group(1))[-1]
+                if container in names:
+                    hits.setdefault(
+                        (path, i + 1),
+                        f"range-for over unordered container "
+                        f"`{container}`: iteration order is unspecified; "
+                        f"iterate a sorted copy or annotate why order "
+                        f"cannot leak")
+
+    for func in handler_reachable(project,
+                                  cfg.get("handler_allowed_files", [])):
+        label = handler_label(func)
         for ident, line, what in func.banned:
-            key = (func.file, line, ident)
-            if key in emitted:
-                continue
-            emitted.add(key)
-            findings.append(Finding(
-                RULE_NONDET_HANDLER, func.file, line,
+            hits.setdefault(
+                (func.file, line),
                 f"{what} `{ident}` in {label}, which is reachable from "
                 f"an event handler; handlers must stay deterministic "
                 f"(use sim/rng, sim/logging, or move this off the "
-                f"event path)"))
+                f"event path)")
         for line, container in func.unordered_iters:
-            key = (func.file, line, container)
-            if key in emitted:
-                continue
-            emitted.add(key)
-            findings.append(Finding(
-                RULE_NONDET_HANDLER, func.file, line,
+            hits.setdefault(
+                (func.file, line),
                 f"iteration over unordered container `{container}` in "
                 f"{label}, which is reachable from an event handler; "
-                f"iteration order is not deterministic"))
-    return findings
+                f"iteration order is not deterministic")
+    return [(path, line, msg) for (path, line), msg in hits.items()]
 
 
-# --- Rule 4: request lifetime ---------------------------------------
+# --- request-lifetime ----------------------------------------------
 
 _DECL_REQ_TMPL = r"\b(?:TYPES)\s+(\w+)\s*[;,)=(]"
 _PTR_ALIAS_TMPL = r"(?:\b(?:TYPES)\s*\*|auto\s*\*)\s*(\w+)\s*=\s*&\s*(\w+)"
@@ -250,13 +286,12 @@ def _blocks_in(clean: list[str], start: int, end: int):
     return blocks
 
 
-def check_request_lifetime(project: Project, whitelists: dict) -> list[Finding]:
-    cfg = whitelists.get("request_lifetime", {})
-    types = cfg.get("request_types", ["MemRequest"])
-    methods = cfg.get(
-        "queue_methods",
-        ["push", "pushFront", "push_front", "push_back", "emplace",
-         "emplace_back"])
+def check_request_lifetime(project: Project, manifest: dict) -> list[Hit]:
+    cfg = manifest.get("request-lifetime", {})
+    types = cfg.get("request_types", [])
+    methods = cfg.get("queue_methods", [])
+    if not types or not methods:
+        return []
     types_alt = "|".join(re.escape(t) for t in types)
     decl_re = re.compile(_DECL_REQ_TMPL.replace("TYPES", types_alt))
     ptr_re = re.compile(_PTR_ALIAS_TMPL.replace("TYPES", types_alt))
@@ -268,13 +303,10 @@ def check_request_lifetime(project: Project, whitelists: dict) -> list[Finding]:
         r"\s*\(\s*std::move\s*\(\s*(\w+)\s*\)")
 
     findings = []
-    cleaned = {p: strip_comments_and_strings(ls)
-               for p, ls in project.files.items()}
-
     for func in project.functions:
         if func.is_schedule_root:
             continue
-        clean = cleaned.get(func.file)
+        clean = project.cleaned.get(func.file)
         if clean is None:
             continue
         # Request variables: body declarations plus by-value parameters
@@ -341,8 +373,8 @@ def check_request_lifetime(project: Project, whitelists: dict) -> list[Finding]:
                     for use_re in use_res:
                         um = use_re.search(t2)
                         if um:
-                            findings.append(Finding(
-                                RULE_REQUEST_LIFETIME, func.file, ln2,
+                            findings.append((
+                                func.file, ln2,
                                 f"`{um.group(0)}` is read after the "
                                 f"request was handed to a queue at "
                                 f"{func.file}:{ln} (moved-from/retained "
@@ -354,10 +386,10 @@ def check_request_lifetime(project: Project, whitelists: dict) -> list[Finding]:
     return findings
 
 
-# --- Rule 5: confinement of static state ----------------------------
+# --- confinement-global --------------------------------------------
 #
 # Enforces the concurrency model in DESIGN.md §11 from the
-# declarations in tools/analyze/confinement.toml. Computed lexically
+# declarations in rules.toml [confinement-global]. Computed lexically
 # over the shared IR file map, so both frontends agree by
 # construction.
 
@@ -369,18 +401,30 @@ _NS_NONVAR_KEYWORDS = frozenset(
     while switch do try catch static_assert operator void""".split())
 
 #: A namespace-scope variable definition: `Type name;`,
-#: `Type name = init;` or `Type name{init};` on one line. The type may
-#: be qualified/templated; the name may be a qualified out-of-class
-#: static-member definition (`Type Class::member = init;`).
+#: `Type name = init;`, `Type name{init};` or `Type name(init);` on one
+#: line (the last is told apart from a function declaration by
+#: _is_variable). The type may be qualified/templated; the name may be
+#: a qualified out-of-class static-member definition
+#: (`Type Class::member = init;`).
 _NS_VAR_RE = re.compile(
     r"^([A-Za-z_][\w:]*(?:\s*<[^;={}]*>)?(?:\s*[*&])*)\s+"
-    r"[A-Za-z_][\w:]*\s*(?:\{[^{}]*\}|\[[^\]]*\]|=[^=;][^;]*)?\s*;")
+    r"[A-Za-z_][\w:]*\s*"
+    r"(?:\{[^{}]*\}|\[[^\]]*\]|\([^()]*\)|=[^=;][^;]*)?\s*;")
+
+#: A direct-initialiser argument that can only be a value: a number,
+#: a (blanked) string or char literal, or a value-style identifier
+#: (camelCase, _member, kConstant, true/nullptr), possibly qualified.
+_VALUE_ARG_RE = re.compile(
+    r"""^(?:[-+]?\d[\w.']*|"\s*"|'\s*'|(?:\w+::)*(?:[a-z_]\w*|k[A-Z]\w*))$""")
+_TYPE_WORDS = frozenset(
+    "auto bool char double float int long short signed unsigned void"
+    .split())
 
 _STATIC_DECL_RE = re.compile(r"^\s*(?:inline\s+)?static\s+")
 
 #: Declarations carrying one of these are synchronization-aware and
-#: exempt from confinement-global (plus whatever confinement.toml's
-#: [global].synchronized_types adds).
+#: exempt from confinement-global (plus whatever rules.toml's
+#: [confinement-global].synchronized_types adds).
 _EXEMPT_RE = re.compile(r"\bconst\b|\bconstexpr\b|\bthread_local\b")
 _BUILTIN_SYNC_MARKERS = ("std::atomic", "std::once_flag")
 
@@ -421,30 +465,45 @@ def _scope_kinds(clean: list[str]):
             prev_nonblank = line.strip()
 
 
-def check_confinement_global(project: Project, confinement: dict,
-                             src_root: str = "src") -> list[Finding]:
+def _is_value_arg(arg: str) -> bool:
+    return (bool(_VALUE_ARG_RE.match(arg)) and not arg.endswith("_t")
+            and arg.split("::")[-1] not in _TYPE_WORDS)
+
+
+def _is_variable(line: str) -> bool:
+    """False for a function declaration or definition. A '(' before
+    the first initializer/terminator means a function unless the
+    parenthesised list is non-empty and every argument is a value
+    (`std::vector<int> g(4);`): a type (`int f(int);`, `Tick f(Tick);`)
+    or a `Type name` pair (`int f(int x);`) declares a function."""
+    head = re.split(r"[={;]", line, maxsplit=1)[0]
+    if "[[" in head:
+        return False
+    if "(" not in head:
+        return True
+    m = re.search(r"\(([^()]*)\)\s*$", head)
+    return bool(m and m.group(1).strip()) and all(
+        _is_value_arg(arg.strip()) for arg in m.group(1).split(","))
+
+
+def check_confinement_global(project: Project, manifest: dict,
+                             src_root: str = "src") -> list[Hit]:
     """Mutable static-storage state must be synchronized (atomic, a
     sync.hh type, or a manifest-listed type), thread-local, or const:
     anything else is invisible shared state that the parallel sweep
     (runConfigs) would race on."""
     sync_markers = _BUILTIN_SYNC_MARKERS + tuple(
-        confinement.get("global", {}).get("synchronized_types", []))
+        manifest.get("confinement-global", {}).get(
+            "synchronized_types", []))
 
     def exempt(line: str) -> bool:
         return bool(_EXEMPT_RE.search(line)) or any(
             marker in line for marker in sync_markers)
 
-    def is_variable(line: str) -> bool:
-        # A '(' before the first initializer/terminator means a
-        # function declaration or definition, not a variable.
-        head = re.split(r"[={;]", line, maxsplit=1)[0]
-        return "(" not in head and "[[" not in head
-
     findings = []
-    for path, lines in project.files.items():
+    for path, clean in project.cleaned.items():
         if _module_of(path, src_root) is None:
             continue
-        clean = strip_comments_and_strings(lines)
         for i, at_ns in _scope_kinds(clean):
             line = clean[i]
             stripped = line.strip()
@@ -453,13 +512,13 @@ def check_confinement_global(project: Project, confinement: dict,
             if _STATIC_DECL_RE.match(line):
                 # static anywhere: class member, function-local, or
                 # file scope — all outlive the run and are shared.
-                if exempt(line) or not is_variable(stripped):
+                if exempt(line) or not _is_variable(stripped):
                     continue
-                findings.append(Finding(
-                    RULE_CONFINEMENT_GLOBAL, path, i + 1,
+                findings.append((
+                    path, i + 1,
                     "mutable static state is shared across threads; "
                     "make it std::atomic, a sync.hh type, thread_local "
-                    "or const (confinement.toml [global])"))
+                    "or const (rules.toml [confinement-global])"))
                 continue
             if not at_ns:
                 continue
@@ -470,48 +529,12 @@ def check_confinement_global(project: Project, confinement: dict,
             first_word = re.split(r"[^\w]", body, maxsplit=1)[0]
             if first_word in _NS_NONVAR_KEYWORDS:
                 continue
-            if exempt(line) or not is_variable(body):
+            if exempt(line) or not _is_variable(body):
                 continue
-            findings.append(Finding(
-                RULE_CONFINEMENT_GLOBAL, path, i + 1,
+            findings.append((
+                path, i + 1,
                 "mutable namespace-scope state is shared across "
                 "threads; make it std::atomic, a sync.hh type, "
-                "thread_local or const (confinement.toml [global])"))
+                "thread_local or const (rules.toml [confinement-global])"))
     return findings
 
-
-# The parallel-protocol family lives in rules_protocol.py; imported
-# here (after the helpers it reuses are defined) so RULE_CHECKERS
-# stays the single dispatch table.
-from rules_protocol import (  # noqa: E402
-    check_atomic_order,
-    check_handler_blocking,
-)
-from model import (  # noqa: E402
-    RULE_ATOMIC_ORDER,
-    RULE_HANDLER_BLOCKING,
-)
-
-RULE_CHECKERS = {
-    RULE_VALUE_ESCAPE:
-        lambda project, layers, wl, conf, proto:
-            check_value_escape(project, wl),
-    RULE_LAYERING:
-        lambda project, layers, wl, conf, proto:
-            check_layering(project, layers),
-    RULE_NONDET_HANDLER:
-        lambda project, layers, wl, conf, proto:
-            check_nondet_handler(project, wl),
-    RULE_REQUEST_LIFETIME:
-        lambda project, layers, wl, conf, proto:
-            check_request_lifetime(project, wl),
-    RULE_CONFINEMENT_GLOBAL:
-        lambda project, layers, wl, conf, proto:
-            check_confinement_global(project, conf),
-    RULE_ATOMIC_ORDER:
-        lambda project, layers, wl, conf, proto:
-            check_atomic_order(project, proto),
-    RULE_HANDLER_BLOCKING:
-        lambda project, layers, wl, conf, proto:
-            check_handler_blocking(project, proto),
-}

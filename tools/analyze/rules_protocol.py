@@ -1,29 +1,55 @@
-"""The parallel-protocol rule family (atomic-order, handler-blocking),
-driven by tools/analyze/protocol.toml.
+"""The parallel-protocol rule family (raw-sync, handler-blocking).
 
 These rules verify what the parallel sweep (runConfigs) and the event
-kernel need from each other: raw atomics confined to the sync.hh
-wrappers, and event handlers that never block. Like
-confinement-global, every fact is computed lexically over the shared
-IR file map (plus the frontend-built call graph), so both frontends
-agree by construction.
+kernel need from each other: raw synchronization primitives and
+atomics confined to the sync.hh wrappers, and event handlers that
+never block. Like confinement-global, every fact is computed lexically
+over Project.cleaned (plus the frontend-built call graph), so both
+frontends agree by construction.
 """
 
 from __future__ import annotations
 
 import re
-from collections import defaultdict
 
-from frontend_textual import strip_comments_and_strings
-from model import (
-    RULE_ATOMIC_ORDER,
-    RULE_HANDLER_BLOCKING,
-    Finding,
-    Project,
-)
-from rules import _module_of
+from model import Project
+from rules import Hit, handler_label, handler_reachable
 
-# --- Shared lexical helpers -----------------------------------------
+# --- raw-sync --------------------------------------------------------
+
+#: Raw standard-library synchronization: the thread / lock / rendezvous
+#: primitives and every std::atomic / std::memory_order spelling.
+_RAW_SYNC_RE = re.compile(
+    r"\bstd\s*::\s*(?:atomic\b|atomic_\w+|memory_order\w*|"
+    r"mutex|recursive_mutex|timed_mutex|shared_mutex|"
+    r"thread|jthread|lock_guard|unique_lock|scoped_lock|shared_lock|"
+    r"condition_variable(?:_any)?|"
+    r"counting_semaphore|binary_semaphore|latch|barrier)\b")
+
+
+def check_raw_sync(project: Project, manifest: dict) -> list[Hit]:
+    """Raw primitives are legal only in the wrapper home (the
+    manifest's allowed_files, src/sim/sync.hh), where each wrapper
+    documents the ordering it relies on. Anywhere else under src/ they
+    are invisible to the confinement analysis."""
+    allowed = tuple(manifest.get("raw-sync", {}).get("allowed_files", []))
+    findings = []
+    for path, clean in project.cleaned.items():
+        if not path.startswith("src/") or path.endswith(allowed):
+            continue
+        for i, line in enumerate(clean):
+            m = _RAW_SYNC_RE.search(line)
+            if m:
+                findings.append((
+                    path, i + 1,
+                    f"raw `{m.group(0)}` outside the sync.hh wrappers; "
+                    f"use or extend the primitives in src/sim/sync.hh "
+                    f"(sync::Mutex, sync::LockGuard, sync::ThreadGroup, "
+                    f"sync::TicketCounter)"))
+    return findings
+
+
+# --- handler-blocking ------------------------------------------------
 
 #: `LockGuard guard(<mutex expr>);` acquisition sites (optionally
 #: namespace-qualified, as in `sync::LockGuard`).
@@ -34,91 +60,21 @@ _GUARD_RE = re.compile(
 _BARE_LOCK_RE = re.compile(r"([A-Za-z_]\w*)\s*\.\s*lock\s*\(\s*\)")
 
 
-def _cleaned(project: Project) -> dict[str, list[str]]:
-    return {p: strip_comments_and_strings(ls)
-            for p, ls in project.files.items()}
-
-
-# --- Rule 6: atomics discipline (atomic-order) ----------------------
-
-_RAW_ATOMIC_RE = re.compile(r"\bstd\s*::\s*(?:atomic\b|atomic_\w+|"
-                            r"memory_order\w*)")
-
-
-def check_atomic_order(project: Project, protocol: dict,
-                       src_root: str = "src") -> list[Finding]:
-    """Raw std::atomic / std::memory_order_* spellings are legal only
-    inside the sanctioned wrapper files (src/sim/sync.hh), where each
-    wrapper documents the ordering it relies on."""
-    cfg = protocol.get("atomic_order", {})
-    allowed = tuple(cfg.get("allowed_files", ["src/sim/sync.hh"]))
-    cleaned = _cleaned(project)
-
-    findings = []
-    for path, clean in cleaned.items():
-        if _module_of(path, src_root) is None:
-            continue
-        if allowed and path.endswith(allowed):
-            continue
-        for i, line in enumerate(clean):
-            m = _RAW_ATOMIC_RE.search(line)
-            if m:
-                findings.append(Finding(
-                    RULE_ATOMIC_ORDER, path, i + 1,
-                    f"raw `{m.group(0)}` outside the sync.hh wrappers; "
-                    f"use or extend the primitives in "
-                    f"src/sim/sync.hh (protocol.toml [atomic_order])"))
-    return findings
-
-
-# --- Rule 7: non-blocking handlers (handler-blocking) --------------
-
-
-def check_handler_blocking(project: Project, protocol: dict,
-                           src_root: str = "src") -> list[Finding]:
+def check_handler_blocking(project: Project, manifest: dict) -> list[Hit]:
     """No mutex acquisition or blocking rendezvous may be reachable
     from an EventQueue::schedule handler root: a handler that blocks
     stalls its simulation on another thread, and lock-based handler
     ordering is exactly the nondeterminism the kernel's (when, seq)
     total order exists to rule out."""
-    cfg = protocol.get("handler_blocking", {})
-    allowed_files = tuple(cfg.get("allowed_files", []))
+    cfg = manifest.get("handler-blocking", {})
     blocking_names = set(cfg.get("blocking_calls", []))
-    cleaned = _cleaned(project)
-
-    def file_allowed(path: str) -> bool:
-        return path.endswith(allowed_files) if allowed_files else False
-
-    by_simple: dict[str, list] = defaultdict(list)
-    for func in project.functions:
-        by_simple[func.name.split("::")[-1]].append(func)
-
-    # Worklist from the schedule roots (same machinery as the
-    # determinism rule).
-    reachable = []
-    seen: set[int] = set()
-    work = [f for f in project.functions if f.is_schedule_root]
-    while work:
-        func = work.pop()
-        if id(func) in seen:
-            continue
-        seen.add(id(func))
-        if file_allowed(func.file):
-            continue
-        reachable.append(func)
-        for callee, _line in func.calls:
-            for target in by_simple.get(callee, []):
-                if id(target) not in seen:
-                    work.append(target)
 
     findings = []
     emitted: set[tuple[str, int]] = set()
-    for func in reachable:
-        clean = cleaned.get(func.file)
+    for func in handler_reachable(project, cfg.get("allowed_files", [])):
+        clean = project.cleaned.get(func.file)
         if clean is None:
             continue
-        label = ("an EventQueue::schedule callback"
-                 if func.is_schedule_root else f"{func.name}()")
         sites = []
         for ln in range(func.start, min(func.end, len(clean)) + 1):
             text = clean[ln - 1]
@@ -134,9 +90,9 @@ def check_handler_blocking(project: Project, protocol: dict,
             if key in emitted:
                 continue
             emitted.add(key)
-            findings.append(Finding(
-                RULE_HANDLER_BLOCKING, func.file, ln,
-                f"{what} in {label}, which is reachable from an event "
-                f"handler; handlers must never block "
-                f"(protocol.toml [handler_blocking])"))
+            findings.append((
+                func.file, ln,
+                f"{what} in {handler_label(func)}, which is reachable "
+                f"from an event handler; handlers must never block "
+                f"(rules.toml [handler-blocking])"))
     return findings

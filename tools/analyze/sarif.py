@@ -4,46 +4,20 @@ from __future__ import annotations
 
 import json
 
-from model import ALL_RULES, Finding
-
-_RULE_DESCRIPTIONS = {
-    "value-escape":
-        "`.value()` on a strong type outside the whitelisted "
-        "conversion sites escapes the typed address/unit domain.",
-    "layering":
-        "Include or symbol reference crossing module layers outside "
-        "the manifest in tools/analyze/layers.toml.",
-    "nondet-handler":
-        "Nondeterministic API (wall clock, raw RNG, unordered "
-        "iteration, I/O) reachable from an EventQueue::schedule "
-        "callback.",
-    "request-lifetime":
-        "A request object is read after ownership was handed to a "
-        "queue.",
-    "confinement-global":
-        "Mutable static-storage state that is not std::atomic, a "
-        "sync.hh type, thread_local or const races under the parallel "
-        "sweep (tools/analyze/confinement.toml [global]).",
-    "atomic-order":
-        "A raw std::atomic / std::memory_order spelling outside the "
-        "sync.hh wrapper home "
-        "(tools/analyze/protocol.toml [atomic_order]).",
-    "handler-blocking":
-        "A mutex acquisition or blocking call reachable from an "
-        "EventQueue::schedule handler; a blocking handler stalls its "
-        "simulation on another thread "
-        "(tools/analyze/protocol.toml [handler_blocking]).",
-}
+from model import Finding
 
 
-def to_sarif(findings: list[Finding], tool_version: str = "1.0.0") -> str:
+def to_sarif(findings: list[Finding], registry: dict,
+             tool_version: str = "1.0.0") -> str:
+    """SARIF for @p findings; @p registry (registry.RULES) supplies the
+    rule ids and descriptions."""
     rules = [
         {
-            "id": rule,
-            "shortDescription": {"text": _RULE_DESCRIPTIONS.get(rule, rule)},
+            "id": rule_id,
+            "shortDescription": {"text": rule.description},
             "defaultConfiguration": {"level": "error"},
         }
-        for rule in ALL_RULES
+        for rule_id, rule in registry.items()
     ]
     results = [
         {

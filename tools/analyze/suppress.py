@@ -1,8 +1,7 @@
-"""Shared parsing of `// mlint: allow(<rule>): <reason>` annotations.
+"""Parsing of `// mlint: allow(<rule>): <reason>` annotations.
 
-Both the regex lint (tools/mellow_lint.py) and the semantic analyzer
-(tools/analyze/mellow_analyze.py) honour the same suppression syntax
-with the same placement semantics:
+Every mellow-analyze rule (tools/analyze/mellow_analyze.py) honours
+the same suppression syntax with the same placement semantics:
 
  - A trailing annotation on a code line suppresses the named rules on
    that line only::
@@ -22,11 +21,6 @@ with the same placement semantics:
 
  - `// mlint: allow-file(<rule>)` anywhere in a file suppresses the
    named rules for the entire file.
-
-Historically mellow_lint honoured "same line or the line above", which
-silently failed on multi-line statements and leaked a trailing
-annotation onto the following line for some rules; this module is the
-single, consistent implementation both tools now use.
 """
 
 from __future__ import annotations

@@ -8,10 +8,9 @@
 #      invariant checkers on, as in every preset)
 #   3. run the determinism audit on a representative configuration,
 #      also with the invariant checkers on
-#   4. run the lint passes: mellow_lint.py and mellow-analyze
-#      (always; the analyzer falls back to its textual backend when
-#      libclang is absent) and clang-tidy (skipped gracefully when not
-#      installed)
+#   4. run the static checks: mellow-analyze (always; it falls back
+#      to its textual backend when libclang is absent) and clang-tidy
+#      (skipped gracefully when not installed)
 #
 # Device configs need no lint pass: every load checks them against
 # the rule table in src/config/device_config.cc, and the ctest suite
@@ -56,7 +55,7 @@ echo "==> [3/4] determinism audit"
 ./build-asan/tools/determinism_check --threads 2
 ./build-asan/tools/determinism_check --threads 8
 
-echo "==> [4/4] lint (mellow_lint + mellow-analyze + clang-tidy)"
+echo "==> [4/4] static checks (mellow-analyze + clang-tidy)"
 tools/lint.sh --build-dir build-asan
 
 echo "CI pipeline passed."

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# clang-tidy runner for mellowsim.
+# Static checks for mellowsim: mellow-analyze, then clang-tidy.
 #
 # Usage:
 #   tools/lint.sh [--build-dir DIR] [--changed] [files...]
@@ -11,8 +11,9 @@
 #   files...         Explicit source files to lint. Default: every
 #                    first-party .cc file under src/, tools/, tests/.
 #
-# Exits 0 with a notice when clang-tidy is not installed, so the
-# tier-1 pipeline stays green on toolchains that only ship gcc.
+# mellow-analyze gates first (it needs only python3); clang-tidy is
+# skipped with a notice when not installed, so the tier-1 pipeline
+# stays green on toolchains that only ship gcc.
 
 set -euo pipefail
 
@@ -32,22 +33,17 @@ while [[ $# -gt 0 ]]; do
     esac
 done
 
-# The project-specific lint needs nothing but python3, so it runs
-# first and unconditionally: clang-tidy being absent must not hide
-# strong-type / determinism regressions.
+# The project checker needs nothing but python3, so it runs first and
+# unconditionally: clang-tidy being absent must not hide strong-type /
+# determinism regressions. --backend auto prefers libclang when the
+# pip package is installed (CI) and warns + falls back to the textual
+# backend otherwise.
 if command -v python3 >/dev/null 2>&1; then
-    echo "lint.sh: running tools/mellow_lint.py"
-    python3 tools/mellow_lint.py
-
-    # Semantic analyzer. --backend auto prefers libclang when the pip
-    # package is installed (CI) and warns + falls back to the textual
-    # backend otherwise, so the four semantic rules still gate locally.
     echo "lint.sh: running tools/analyze/mellow_analyze.py"
     python3 tools/analyze/mellow_analyze.py --backend auto \
-        -p "${build_dir}" src
+        -p "${build_dir}" src tools
 else
-    echo "lint.sh: python3 not found on PATH; skipping mellow_lint" \
-         "and mellow-analyze."
+    echo "lint.sh: python3 not found on PATH; skipping mellow-analyze."
 fi
 
 if ! command -v clang-tidy >/dev/null 2>&1; then
