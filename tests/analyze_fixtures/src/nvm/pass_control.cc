@@ -2,8 +2,9 @@
 // Positive control: the typed index stays inside the typed domain,
 // the handed-off request is never touched again, the module only
 // speaks to its manifested dependencies, namespace-scope function
-// declarations are not mistaken for direct-initialised globals, and
-// a handler-tier API off the event path stays clean.
+// declarations and the return-type line of a gem5-style static
+// function are not mistaken for globals, and a handler-tier API off
+// the event path stays clean.
 #include "nvm/queues.hh"
 
 #include "sim/event_queue.hh"
@@ -18,6 +19,12 @@ long
 hostStartupStamp()
 {
     return std::chrono::steady_clock::now().time_since_epoch().count();
+}
+
+static long
+hostStartupDelta(long since)
+{
+    return hostStartupStamp() - since;
 }
 
 void

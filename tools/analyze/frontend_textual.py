@@ -1,14 +1,13 @@
-"""Pure-Python textual frontend for mellow-analyze.
+"""The frontend of mellow-analyze: pure-Python lexical analysis.
 
-This backend extracts the Project IR (model.py) with lexical analysis
-only, so the analyzer runs — and the ctest fixtures gate — on machines
-without libclang. It leans on the repository's enforced code style
-(gem5-style definitions: return type on its own line, the qualified
-name at column 0, braces at column 0) and resolves ``.value()``
-receivers through a project-wide declaration map: a receiver is only
-treated as a strong type when every declaration of that name found in
-the tree agrees. Receivers it cannot resolve are skipped; the clang
-backend (CI) resolves those semantically.
+It extracts the Project IR (model.py) with the standard library only.
+It leans on the repository's enforced code style (gem5-style
+definitions: return type on its own line, the qualified name at
+column 0, braces at column 0) and resolves ``.value()`` receivers
+through a project-wide declaration map: a receiver is only treated as
+a strong type when every declaration of that name found in the tree
+agrees. Receivers it cannot resolve are skipped. DESIGN.md §9 lists
+what this approximates, rule by rule.
 """
 
 from __future__ import annotations
@@ -42,7 +41,19 @@ RET_TYPE_LINE_RE = re.compile(
     r"^\s*(?:\[\[nodiscard\]\]\s*)?(?:friend\s+)?(?:constexpr\s+)?"
     r"(?:static\s+)?(" + _STRONG_ALT + r")\s*$"
 )
-DEF_NAME_RE = re.compile(r"^\s*(?:[A-Za-z_]\w*::)?([A-Za-z_]\w*)\s*\(")
+#: A function head: the (optionally class-qualified) name, either at
+#: the start of the line (gem5 style) or after a return type on the
+#: same line (`long sample() {`). Groups: class, name.
+DEF_RE = re.compile(
+    r"^\s*(?:\[\[\w+\]\]\s*)?"
+    r"(?:[A-Za-z_][\w:]*(?:\s*<[^;(){}]*>)?[\s*&]+)*?"
+    r"(?:([A-Za-z_]\w*)::)?([A-Za-z_]\w*)\s*\(")
+
+#: `auto name = <call>(...)` (also `const auto &`, `obj.call(...)`): the
+#: local takes the callee's return type. Groups: name, callee.
+AUTO_DECL_RE = re.compile(
+    r"\bauto\s*&?\s*([A-Za-z_]\w*)\s*=\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*"
+    r"([A-Za-z_]\w*)\s*\(")
 
 #: `<var>.value()` and `<call>(...)..value()` receivers.
 VALUE_ON_CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\([^()]*\)\s*\.\s*value\s*\(\s*\)")
@@ -181,9 +192,10 @@ def _find_body_open(clean: list[str], start: int, limit: int = 20):
 def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
     """Function definitions with body line ranges.
 
-    Handles the repository style: out-of-line definitions with the
-    (possibly qualified) name at column 0, and in-class inline
-    definitions tracked through a class-name stack.
+    Handles the repository style: out-of-line definitions starting at
+    column 0, with the (possibly qualified) name there or after a
+    one-line return type, and in-class inline definitions of either
+    shape tracked through a class-name stack.
     """
     funcs: list[FunctionDef] = []
     # (class_name, close_line) for in-class method qualification.
@@ -211,11 +223,11 @@ def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
             i += 1
             continue
 
-        m = DEF_NAME_RE.match(line)
+        m = DEF_RE.match(line)
         is_col0 = bool(m) and not line[:1].isspace()
         in_class = bool(class_stack)
         if m and (is_col0 or in_class):
-            name = m.group(1)
+            name = m.group(2)
             if name in CALL_KEYWORDS or re.match(
                     r"^\s*(?:if|for|while|switch|return)\b", line):
                 i += 1
@@ -225,9 +237,8 @@ def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
                 i += 1
                 continue
             close = _matching_brace(clean, open_pos[0], open_pos[1])
-            qual = re.match(r"^\s*([A-Za-z_]\w*)::", line)
-            if qual:
-                qname = f"{qual.group(1)}::{name}"
+            if m.group(1):
+                qname = f"{m.group(1)}::{name}"
             elif in_class:
                 qname = f"{class_stack[-1][0]}::{name}"
             else:
@@ -297,19 +308,25 @@ def build_project(files: dict[str, list[str]]) -> Project:
     # --- Project-wide maps -------------------------------------------
     decl_types: dict[str, set[str]] = {}
     ret_types: dict[str, set[str]] = {}
+    autos: list[tuple[str, str]] = []
     unordered: set[str] = set()
     for path, clean in cleaned.items():
         unordered |= unordered_names(clean)
         for li, line in enumerate(clean):
             for m in DECL_RE.finditer(line):
                 decl_types.setdefault(m.group(2), set()).add(m.group(1))
+            autos.extend(m.groups() for m in AUTO_DECL_RE.finditer(line))
             for m in RET_ONE_LINE_RE.finditer(line):
                 ret_types.setdefault(m.group(2), set()).add(m.group(1))
             if RET_TYPE_LINE_RE.match(line) and li + 1 < len(clean):
-                nm = DEF_NAME_RE.match(clean[li + 1])
+                nm = DEF_RE.match(clean[li + 1])
                 if nm:
                     ty = RET_TYPE_LINE_RE.match(line).group(1)
-                    ret_types.setdefault(nm.group(1), set()).add(ty)
+                    ret_types.setdefault(nm.group(2), set()).add(ty)
+    for name, callee in autos:
+        types = ret_types.get(callee, set())
+        if len(types) == 1:
+            decl_types.setdefault(name, set()).update(types)
 
     # --- Per-file facts ----------------------------------------------
     for path, lines in files.items():
@@ -357,4 +374,7 @@ def build_project(files: dict[str, list[str]]) -> Project:
                         recv_type=next(iter(types)),
                         enclosing=enclosing(li + 1)))
 
+    # Two `.value()` calls on one receiver type in one line are one
+    # finding.
+    project.value_calls = list(dict.fromkeys(project.value_calls))
     return project

@@ -30,14 +30,12 @@ Eleven rules (registry.py), configured by one manifest
 Findings honour the shared `// mlint: allow(<rule>): <reason>`
 suppression syntax (tools/analyze/suppress.py).
 
-Backends: `--backend clang` uses libclang over the exported
-compile_commands.json (CI); `--backend textual` is a pure-Python
-fallback needing nothing beyond the standard library; `auto` (default)
-tries clang and falls back with a warning. The lexical rules read only
-the source lines, so they agree under both.
+The one frontend (frontend_textual.py) is pure Python and needs
+nothing beyond the standard library; DESIGN.md §9 records what it
+approximates.
 
 Exit codes: 0 clean, 1 findings (or self-test failure), 2 environment
-error (requested backend unavailable, bad manifest, ...).
+error (no input files, bad manifest, ...).
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import re
 import sys
 import tomllib
 
+from frontend_textual import build_project
 from model import Finding
 from registry import RULES
 from suppress import parse_suppressions
@@ -96,27 +95,6 @@ def _load_manifest(path: str) -> dict:
     return manifest
 
 
-def _build_project(backend: str, files: dict[str, list[str]],
-                   build_dir: str | None, root: str):
-    """Returns (project, backend_used)."""
-    if backend in ("auto", "clang"):
-        try:
-            import frontend_clang
-            return (frontend_clang.build_project(files, build_dir, root),
-                    "clang")
-        except ImportError as exc:
-            if backend == "clang":
-                print(f"mellow-analyze: clang backend unavailable: {exc}\n"
-                      f"  (pip package `libclang`, see "
-                      f"tools/analyze/requirements.txt)", file=sys.stderr)
-                sys.exit(2)
-            print("mellow-analyze: warning: libclang not available; "
-                  "falling back to the textual backend "
-                  f"({exc})", file=sys.stderr)
-    import frontend_textual
-    return frontend_textual.build_project(files), "textual"
-
-
 def _run_rules(project, manifest: dict,
                enabled: list[str]) -> list[Finding]:
     findings = [Finding(rule, *hit)
@@ -135,16 +113,7 @@ def _run_rules(project, manifest: dict,
                 continue
         kept.append(f)
     kept.sort(key=lambda f: (f.file, f.line, f.rule, f.message))
-    # De-duplicate identical findings (both frontends may attribute one
-    # site to several overlapping facts).
-    seen = set()
-    unique = []
-    for f in kept:
-        key = (f.file, f.line, f.rule, f.message)
-        if key not in seen:
-            seen.add(key)
-            unique.append(f)
-    return unique
+    return kept
 
 
 def _self_test(fixture_root: str, files: dict[str, list[str]],
@@ -224,11 +193,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*", default=["src", "tools"],
                         help="files/directories to analyze "
                              "(default: src tools)")
-    parser.add_argument("--backend", choices=("auto", "clang", "textual"),
-                        default="auto")
-    parser.add_argument("-p", "--build-dir", default=None,
-                        help="build dir with compile_commands.json "
-                             "(clang backend)")
     parser.add_argument("--root", default=REPO_ROOT,
                         help="tree root paths are relative to")
     parser.add_argument("--sarif", metavar="OUT",
@@ -257,13 +221,7 @@ def main(argv: list[str] | None = None) -> int:
     manifest = _load_manifest(os.path.join(
         root if args.self_test else ANALYZE_DIR, "rules.toml"))
 
-    # Self-test always runs the textual backend: the fixtures gate the
-    # shared rule logic and must work without libclang.
-    backend = "textual" if args.self_test else args.backend
-    project, backend_used = _build_project(
-        backend, files, args.build_dir, root)
-
-    findings = _run_rules(project, manifest, enabled)
+    findings = _run_rules(build_project(files), manifest, enabled)
 
     if args.sarif:
         from sarif import to_sarif
@@ -276,9 +234,8 @@ def main(argv: list[str] | None = None) -> int:
 
     for f in findings:
         print(f"{f.file}:{f.line}: [{f.rule}] {f.message}")
-    summary = (f"mellow-analyze ({backend_used} backend): "
-               f"{len(findings)} finding(s) across {len(files)} files, "
-               f"rules: {', '.join(enabled)}")
+    summary = (f"mellow-analyze: {len(findings)} finding(s) across "
+               f"{len(files)} files, rules: {', '.join(enabled)}")
     print(summary, file=sys.stderr)
     return 1 if findings else 0
 

@@ -1,10 +1,8 @@
-"""Backend-neutral intermediate representation for mellow-analyze.
+"""The intermediate representation mellow-analyze's rules consume.
 
-Both frontends (frontend_clang.py, frontend_textual.py) lower the
-source tree into a Project; the rules (registry.py) only ever consume
-this IR, so every rule behaves identically under either backend up to
-the precision of the facts a backend can extract. The lexical rules
-read nothing but ``Project.cleaned`` and agree by construction.
+The frontend (frontend_textual.py) lowers the source tree into a
+Project; the rules (registry.py) only ever read this IR. The lexical
+rules read nothing but ``Project.cleaned``.
 """
 
 from __future__ import annotations
@@ -24,10 +22,6 @@ STRONG_TYPES = (
     "PulseFactor",
 )
 
-#: Underlying template/class names the clang backend sees after alias
-#: resolution, mapped back to "a strong type".
-STRONG_CLASS_NAMES = ("StrongOrdinal", "Quantity", "PulseFactor")
-
 
 @dataclass(frozen=True)
 class Finding:
@@ -43,7 +37,7 @@ class ValueCall:
 
     file: str
     line: int
-    recv_type: str  # one of STRONG_TYPES (or a class name for clang)
+    recv_type: str  # one of STRONG_TYPES
     enclosing: str  # qualified enclosing function ("" if unknown)
 
 

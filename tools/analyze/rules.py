@@ -6,7 +6,7 @@ Every checker is ``check(project, manifest)``: it reads its own table
 of the rules.toml manifest and returns ``(file, line, message)`` hits;
 mellow_analyze.py stamps the rule id from the registry
 (registry.py), filters suppressions and formats the output. Checkers
-consume only the IR, so they behave the same under both frontends.
+consume only the IR.
 """
 
 from __future__ import annotations
@@ -164,7 +164,7 @@ def check_layering(project: Project, manifest: dict,
 # APIs no simulator or tool source may touch, and range-for over an
 # unordered container declared in the file or in a project header it
 # includes directly. Handler-reachable only: the wider list of the
-# frontends' BANNED_PATTERNS (I/O, getenv, steady_clock, mt19937) and
+# frontend's BANNED_PATTERNS (I/O, getenv, steady_clock, mt19937) and
 # iteration over any unordered container in the project, inside a
 # function reachable from an EventQueue::schedule callback.
 
@@ -390,8 +390,7 @@ def check_request_lifetime(project: Project, manifest: dict) -> list[Hit]:
 #
 # Enforces the concurrency model in DESIGN.md §11 from the
 # declarations in rules.toml [confinement-global]. Computed lexically
-# over the shared IR file map, so both frontends agree by
-# construction.
+# over Project.cleaned.
 
 #: Keywords that can never start a variable definition at namespace
 #: scope (filters function bodies, type definitions, using aliases...).
@@ -512,7 +511,12 @@ def check_confinement_global(project: Project, manifest: dict,
             if _STATIC_DECL_RE.match(line):
                 # static anywhere: class member, function-local, or
                 # file scope — all outlive the run and are shared.
-                if exempt(line) or not _is_variable(stripped):
+                decl = stripped
+                if not re.search(r"[;=({]", decl) and i + 1 < len(clean):
+                    # `static long` alone: the return type of a
+                    # gem5-style definition, or a split declaration.
+                    decl += " " + clean[i + 1].strip()
+                if exempt(line) or not _is_variable(decl):
                     continue
                 findings.append((
                     path, i + 1,

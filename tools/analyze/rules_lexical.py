@@ -2,7 +2,7 @@
 schedule-literal and timing-literal.
 
 Each reads only Project.cleaned (comments and literal contents
-blanked), one line at a time, so both frontends agree by construction.
+blanked), one line at a time.
 raw-addr-param and missing-nodiscard hold the headers of the modules
 converted to the strong types (rules.toml `converted_modules`) to the
 typed-interface conventions; the other two apply wherever the manifest
@@ -59,10 +59,14 @@ def check_raw_addr_param(project: Project, manifest: dict) -> list[Hit]:
 
 # --- missing-nodiscard -----------------------------------------------
 
+#: A return type: leading specifiers (`virtual`, `static`, `const`...),
+#: then a possibly qualified, templated and const-qualified type name.
+_SPECIFIERS = r"(?:(?:virtual|static|inline|constexpr|const)\s+)*"
+_TYPE = r"[A-Za-z_][\w:]*(?:\s*<[^;(]*>)?(?:\s+const)?"
+
 #: `Type name(...) const` on one line (void and operators excepted).
 _CONST_ACCESSOR_RE = re.compile(
-    r"^\s*(?:virtual\s+)?(?!void\b)(?!.*\boperator\b)"
-    r"[A-Za-z_][\w:]*(?:\s*<[^;(]*>)?(?:\s+const)?[\s&*]+"
+    rf"^\s*{_SPECIFIERS}(?!void\b)(?!.*\boperator\b){_TYPE}[\s&*]+"
     r"[a-zA-Z_]\w*\s*\([^;{}]*\)\s*const\b")
 
 #: The gem5-style split form: `name(...) const` whose return type is
@@ -70,9 +74,9 @@ _CONST_ACCESSOR_RE = re.compile(
 _SPLIT_ACCESSOR_RE = re.compile(
     r"^\s*(?!operator\b)[a-zA-Z_]\w*\s*\([^;{}]*\)\s*const\b")
 _RETURN_TYPE_LINE_RE = re.compile(
-    r"^\s*(?:virtual\s+)?"
+    rf"^\s*{_SPECIFIERS}"
     r"(?!(?:void|return|else|case|default|public|private|protected)\b)"
-    r"[A-Za-z_][\w:]*(?:\s*<[^;(]*>)?(?:\s+const)?[\s&*]*$")
+    rf"{_TYPE}[\s&*]*$")
 
 
 def check_missing_nodiscard(project: Project, manifest: dict) -> list[Hit]:

@@ -4,8 +4,7 @@ These rules verify what the parallel sweep (runConfigs) and the event
 kernel need from each other: raw synchronization primitives and
 atomics confined to the sync.hh wrappers, and event handlers that
 never block. Like confinement-global, every fact is computed lexically
-over Project.cleaned (plus the frontend-built call graph), so both
-frontends agree by construction.
+over Project.cleaned (plus the frontend-built call graph).
 """
 
 from __future__ import annotations

@@ -145,8 +145,7 @@ class DisableInteractionTest(unittest.TestCase):
             with open(os.path.join(tmp, "src", "sim", "bad.cc"),
                       "w") as fh:
                 fh.write(source)
-            argv = ["--backend", "textual", "--root", tmp, "src",
-                    *extra_args]
+            argv = ["--root", tmp, "src", *extra_args]
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 return mellow_analyze.main(argv)

@@ -8,9 +8,8 @@
 #      invariant checkers on, as in every preset)
 #   3. run the determinism audit on a representative configuration,
 #      also with the invariant checkers on
-#   4. run the static checks: mellow-analyze (always; it falls back
-#      to its textual backend when libclang is absent) and clang-tidy
-#      (skipped gracefully when not installed)
+#   4. run the static checks: mellow-analyze (always; it needs only
+#      python3) and clang-tidy (skipped gracefully when not installed)
 #
 # Device configs need no lint pass: every load checks them against
 # the rule table in src/config/device_config.cc, and the ctest suite

@@ -35,13 +35,10 @@ done
 
 # The project checker needs nothing but python3, so it runs first and
 # unconditionally: clang-tidy being absent must not hide strong-type /
-# determinism regressions. --backend auto prefers libclang when the
-# pip package is installed (CI) and warns + falls back to the textual
-# backend otherwise.
+# determinism regressions.
 if command -v python3 >/dev/null 2>&1; then
     echo "lint.sh: running tools/analyze/mellow_analyze.py"
-    python3 tools/analyze/mellow_analyze.py --backend auto \
-        -p "${build_dir}" src tools
+    python3 tools/analyze/mellow_analyze.py src tools
 else
     echo "lint.sh: python3 not found on PATH; skipping mellow-analyze."
 fi
