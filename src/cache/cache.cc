@@ -1,6 +1,6 @@
 #include "cache/cache.hh"
 
-#include <algorithm>
+#include <bit>
 
 #include "sim/logging.hh"
 
@@ -41,8 +41,9 @@ SetAssocCache::SetAssocCache(const CacheConfig &config) : _config(config)
              "%s: number of sets (%llu) must be a power of two",
              config.name.c_str(),
              static_cast<unsigned long long>(_numSets));
-    _lines.assign(_numSets * config.assoc, CacheLine{});
-    _dirty.assign(_numSets, 0);
+    _wayMask = lowBits(config.assoc);
+    _ways.assign(_numSets * config.assoc, Way{});
+    _sets.assign(_numSets, SetState{});
 }
 
 std::uint64_t
@@ -54,38 +55,58 @@ SetAssocCache::setIndex(LogicalAddr addr) const
 int
 SetAssocCache::find(std::uint64_t s, LogicalAddr block) const
 {
-    const CacheLine *set = _lines.data() + s * _config.assoc;
-    for (unsigned pos = 0; pos < _config.assoc; ++pos) {
-        if (set[pos].valid && set[pos].blockAddr == block)
-            return static_cast<int>(pos);
+    const Way *set = _ways.data() + s * _config.assoc;
+    for (unsigned w = 0; w < _config.assoc; ++w) {
+        if (set[w].tag == block)
+            return static_cast<int>(w);
     }
     return -1;
 }
 
 void
-SetAssocCache::moveToMru(std::uint64_t s, unsigned pos)
+SetAssocCache::moveToMru(std::uint64_t s, unsigned w, unsigned pos)
 {
-    CacheLine *set = lines(s);
-    std::rotate(set, set + pos, set + pos + 1);
-    // Positions 0..pos-1 move down one; position pos becomes 0.
-    std::uint64_t m = _dirty[s];
-    _dirty[s] = (m & ~lowBits(pos + 1)) | ((m & lowBits(pos)) << 1) |
-                ((m >> pos) & 1);
+    // Positions 0..pos-1 move down one; position pos becomes 0. Each
+    // line steps one way up the ring, its dirty bit with it.
+    Way *set = ways(s);
+    SetState &st = _sets[s];
+    const unsigned last = _config.assoc - 1;
+    const Way moved = set[w];
+    const std::uint64_t movedDirty = (st.dirty >> w) & 1;
+    for (unsigned to = w; pos > 0; --pos) {
+        const unsigned from = to == 0 ? last : to - 1;
+        set[to] = set[from];
+        st.dirty = (st.dirty & ~bit(to)) | (((st.dirty >> from) & 1) << to);
+        to = from;
+    }
+    // Field by field: a whole-struct store of the padded copy would
+    // go through the stack and stall the load that follows it.
+    Way &mru = set[st.head];
+    mru.tag = moved.tag;
+    mru.touchStamp = moved.touchStamp;
+    mru.eagerCleaned = moved.eagerCleaned;
+    st.dirty = (st.dirty & ~bit(st.head)) | (movedDirty << st.head);
 }
 
-CacheLine
+CacheVictim
 SetAssocCache::allocateMru(std::uint64_t s, LogicalAddr block, bool dirty,
                            std::uint32_t stamp)
 {
-    CacheLine *set = lines(s);
-    const unsigned assoc = _config.assoc;
-    CacheLine victim = set[assoc - 1];
-    std::copy_backward(set, set + assoc - 1, set + assoc);
-    set[0] = CacheLine{.blockAddr = block,
-                       .valid = true,
-                       .dirty = dirty,
-                       .touchStamp = stamp};
-    _dirty[s] = ((_dirty[s] << 1) & lowBits(assoc)) | (dirty ? 1 : 0);
+    SetState &st = _sets[s];
+    const unsigned w = st.head == 0 ? _config.assoc - 1 : st.head - 1;
+    Way &way = ways(s)[w];
+    CacheVictim victim;
+    if (way.tag != kInvalidTag) {
+        victim.valid = true;
+        victim.dirty = ((st.dirty >> w) & 1) != 0;
+        victim.blockAddr = way.tag;
+    }
+    // Field by field, as in moveToMru.
+    way.tag = block;
+    way.touchStamp = stamp;
+    way.eagerCleaned = false;
+    st.dirty = (st.dirty & ~bit(w)) | (dirty ? bit(w) : 0);
+    st.head = w;
     return victim;
 }
 
@@ -100,19 +121,19 @@ SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
     int found = find(s, block);
     if (found < 0)
         return {false, 0};
-    auto pos = static_cast<unsigned>(found);
-    CacheLine &line = lines(s)[pos];
-    line.touchStamp = stamp;
+    auto w = static_cast<unsigned>(found);
+    Way &way = ways(s)[w];
+    way.touchStamp = stamp;
     if (isWrite) {
-        if (line.eagerCleaned) {
+        if (way.eagerCleaned) {
             _lastWriteWastedEager = true;
-            line.eagerCleaned = false;
+            way.eagerCleaned = false;
         }
-        line.dirty = true;
-        _dirty[s] |= bit(pos);
+        _sets[s].dirty |= bit(w);
     }
+    const unsigned pos = position(_sets[s].head, w);
     if (updateLru && pos != 0)
-        moveToMru(s, pos);
+        moveToMru(s, w, pos);
     return {true, pos};
 }
 
@@ -127,15 +148,7 @@ SetAssocCache::insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
 {
     panic_if(probe(addr), "%s: inserting a line already present",
              _config.name.c_str());
-    CacheLine lru = allocateMru(setIndex(addr), blockAlign(addr), dirty,
-                                stamp);
-    CacheVictim victim;
-    if (lru.valid) {
-        victim.valid = true;
-        victim.dirty = lru.dirty;
-        victim.blockAddr = lru.blockAddr;
-    }
-    return victim;
+    return allocateMru(setIndex(addr), blockAlign(addr), dirty, stamp);
 }
 
 void
@@ -149,16 +162,16 @@ SetAssocCache::prime(LogicalAddr addr, bool dirty)
         (void)allocateMru(s, block, dirty, 0);
         return;
     }
-    auto pos = static_cast<unsigned>(found);
-    CacheLine &line = lines(s)[pos];
-    line.touchStamp = 0;
+    auto w = static_cast<unsigned>(found);
+    Way &way = ways(s)[w];
+    way.touchStamp = 0;
     if (dirty) {
-        line.eagerCleaned = false;
-        line.dirty = true;
-        _dirty[s] |= bit(pos);
+        way.eagerCleaned = false;
+        _sets[s].dirty |= bit(w);
     }
+    const unsigned pos = position(_sets[s].head, w);
     if (pos != 0)
-        moveToMru(s, pos);
+        moveToMru(s, w, pos);
 }
 
 bool
@@ -168,31 +181,40 @@ SetAssocCache::cleanLineForEagerWrite(LogicalAddr addr)
     int found = find(s, blockAlign(addr));
     if (found < 0)
         return false;
-    auto pos = static_cast<unsigned>(found);
-    CacheLine &line = lines(s)[pos];
-    if (!line.dirty)
+    auto w = static_cast<unsigned>(found);
+    SetState &st = _sets[s];
+    if ((st.dirty & bit(w)) == 0)
         return false;
-    line.dirty = false;
-    line.eagerCleaned = true;
-    _dirty[s] &= ~bit(pos);
+    st.dirty &= ~bit(w);
+    ways(s)[w].eagerCleaned = true;
     return true;
 }
 
-std::span<const CacheLine>
-SetAssocCache::set(std::uint64_t index) const
+CacheLine
+SetAssocCache::line(std::uint64_t index, unsigned pos) const
 {
     panic_if(index >= _numSets, "set index out of range");
-    return {_lines.data() + index * _config.assoc, _config.assoc};
+    panic_if(pos >= _config.assoc, "stack position out of range");
+    const SetState &st = _sets[index];
+    unsigned w = st.head + pos;
+    if (w >= _config.assoc)
+        w -= _config.assoc;
+    const Way &way = _ways[index * _config.assoc + w];
+    if (way.tag == kInvalidTag)
+        return CacheLine{};
+    return CacheLine{.blockAddr = way.tag,
+                     .valid = true,
+                     .dirty = ((st.dirty >> w) & 1) != 0,
+                     .eagerCleaned = way.eagerCleaned,
+                     .touchStamp = way.touchStamp};
 }
 
 std::uint64_t
 SetAssocCache::countDirtyLines() const
 {
     std::uint64_t count = 0;
-    for (const CacheLine &line : _lines) {
-        if (line.valid && line.dirty)
-            ++count;
-    }
+    for (const SetState &st : _sets)
+        count += static_cast<std::uint64_t>(std::popcount(st.dirty));
     return count;
 }
 

@@ -7,18 +7,21 @@
  * position; position 0 is MRU, position (assoc-1) is LRU, matching
  * Figure 7 of the paper.
  *
- * Layout: every line lives in one contiguous array, set after set,
- * each set ordered MRU..LRU. Next to it one 64-bit dirty-position
- * mask per set (bit p: the line at stack position p is valid and
- * dirty) lets the eager scanner test a set in O(1) instead of walking
- * it; every mutator keeps the mask in step with the lines.
+ * Layout: every way lives in one contiguous array, set after set,
+ * and stays where it was filled. Each set is a ring: a per-set head
+ * names its MRU way, and way w sits at stack position
+ * (w - head) mod assoc. A miss overwrites the way just before the
+ * head (the LRU line, or an invalid way: invalid ways sit at the LRU
+ * end) and makes it the head, so it moves no line. A hit at position
+ * p moves only the p more recent lines. Next to the head, one 64-bit
+ * word per set holds a dirty bit per way; rotated by the head it is
+ * the dirty-position mask the eager scanner tests a set with in O(1).
  */
 
 #ifndef MELLOWSIM_CACHE_CACHE_HH
 #define MELLOWSIM_CACHE_CACHE_HH
 
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +41,7 @@ struct CacheConfig
     Tick hitLatency = 0;
 };
 
-/** One cache line. */
+/** One cache line, as line() reports it. */
 struct CacheLine
 {
     LogicalAddr blockAddr{0}; ///< block-aligned address
@@ -129,11 +132,11 @@ class SetAssocCache
     [[nodiscard]] const CacheConfig &config() const { return _config; }
 
     /**
-     * Lines of one set ordered by recency: index 0 is MRU. Exposed
-     * for the decay selector's walk and for tests.
+     * The line at stack position @p pos (0 is MRU) of set @p index.
+     * Exposed for the decay selector's walk and for tests.
      */
-    [[nodiscard]] std::span<const CacheLine>
-    set(std::uint64_t index) const;
+    [[nodiscard]] CacheLine line(std::uint64_t index,
+                                 unsigned pos) const;
 
     /**
      * Dirty-position mask of set @p index: bit p is set iff the line
@@ -142,7 +145,13 @@ class SetAssocCache
     [[nodiscard]] std::uint64_t
     dirtyMask(std::uint64_t index) const
     {
-        return _dirty[index];
+        const SetState &st = _sets[index];
+        // The way word rotated right by head within assoc bits.
+        if (st.head == 0)
+            return st.dirty;
+        return ((st.dirty >> st.head) |
+                (st.dirty << (_config.assoc - st.head))) &
+               _wayMask;
     }
 
     /** Count of valid dirty lines over the whole array (tests). */
@@ -155,37 +164,62 @@ class SetAssocCache
     }
 
   private:
+    /** Tag of an invalid way: not block aligned, so no block matches. */
+    static constexpr LogicalAddr kInvalidTag{~Addr{0}};
+
+    /** One way; its dirty bit lives in the set's SetState. */
+    struct Way
+    {
+        LogicalAddr tag = kInvalidTag;
+        std::uint32_t touchStamp = 0;
+        bool eagerCleaned = false;
+    };
+
+    /** Per-set state: the dirty bit of every way and the MRU way. */
+    struct SetState
+    {
+        /** Bit w: way w is valid and dirty. */
+        std::uint64_t dirty = 0;
+        unsigned head = 0;
+    };
+
     [[nodiscard]] std::uint64_t setIndex(LogicalAddr addr) const;
 
-    /** First line of set @p s in _lines. */
-    [[nodiscard]] CacheLine *
-    lines(std::uint64_t s)
+    /** First way of set @p s in _ways. */
+    [[nodiscard]] Way *
+    ways(std::uint64_t s)
     {
-        return _lines.data() + s * _config.assoc;
+        return _ways.data() + s * _config.assoc;
     }
 
-    /** Stack position of @p block in set @p s, or -1 if absent. */
+    /** Way of set @p s holding @p block, or -1 if absent. */
     [[nodiscard]] int find(std::uint64_t s, LogicalAddr block) const;
 
-    /** Move the line at @p pos of set @p s to MRU. */
-    void moveToMru(std::uint64_t s, unsigned pos);
+    /** Stack position of way @p w in a set whose MRU way is @p head. */
+    [[nodiscard]] unsigned
+    position(unsigned head, unsigned w) const
+    {
+        return w >= head ? w - head : w + _config.assoc - head;
+    }
+
+    /** Move the line at position @p pos (way @p w) of set @p s to MRU. */
+    void moveToMru(std::uint64_t s, unsigned w, unsigned pos);
 
     /**
-     * Shift set @p s down one position, dropping its LRU line, and
-     * install @p block at MRU. Returns the dropped line.
+     * Install @p block at MRU of set @p s in the LRU way, which
+     * becomes the head. Returns the line it overwrote.
      */
-    CacheLine allocateMru(std::uint64_t s, LogicalAddr block, bool dirty,
-                          std::uint32_t stamp);
+    CacheVictim allocateMru(std::uint64_t s, LogicalAddr block, bool dirty,
+                            std::uint32_t stamp);
 
     CacheConfig _config;
     std::uint64_t _numSets;
-    /**
-     * numSets x assoc lines, set s at [s * assoc, (s + 1) * assoc),
-     * each set ordered MRU..LRU. Invalid lines sit at the tail.
-     */
-    std::vector<CacheLine> _lines;
-    /** Per-set dirty-position masks (see dirtyMask()). */
-    std::vector<std::uint64_t> _dirty;
+    /** The low assoc bits: every way of a set. */
+    std::uint64_t _wayMask;
+    /** numSets x assoc ways, set s at [s * assoc, (s + 1) * assoc). */
+    std::vector<Way> _ways;
+    /** Per-set dirty bits and heads. */
+    std::vector<SetState> _sets;
     bool _lastWriteWastedEager = false;
 };
 

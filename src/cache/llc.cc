@@ -121,12 +121,12 @@ Llc::eagerCandidate(std::uint64_t setIdx) const
     }
     // DecayDeadBlock: from the LRU end, the first dirty line untouched
     // for deadAfterPeriods whole periods.
-    std::span<const CacheLine> set = _array.set(setIdx);
     while (dirty != 0) {
         const int pos = std::bit_width(dirty) - 1;
-        const CacheLine &line = set[static_cast<unsigned>(pos)];
-        if (_period >= line.touchStamp &&
-            _period - line.touchStamp >= _config.deadAfterPeriods) {
+        const std::uint32_t stamp =
+            _array.line(setIdx, static_cast<unsigned>(pos)).touchStamp;
+        if (_period >= stamp &&
+            _period - stamp >= _config.deadAfterPeriods) {
             return pos;
         }
         dirty &= ~(std::uint64_t{1} << pos);
@@ -172,7 +172,7 @@ Llc::onScan()
         // next scan keeps its place in (when, seq) order.
         rearm(at + interval);
         LogicalAddr victim =
-            _array.set(set_idx)[static_cast<unsigned>(pos)].blockAddr;
+            _array.line(set_idx, static_cast<unsigned>(pos)).blockAddr;
         if (_controller.eagerWrite(victim)) {
             _array.cleanLineForEagerWrite(victim);
             ++_stats.eagerSent;

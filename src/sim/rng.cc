@@ -1,7 +1,5 @@
 #include "sim/rng.hh"
 
-#include <cmath>
-
 namespace mellowsim
 {
 
@@ -23,41 +21,6 @@ Rng::Rng(std::uint64_t seed)
     // xorshift128+ requires a non-zero state.
     if (_s0 == 0 && _s1 == 0)
         _s1 = 1;
-}
-
-double
-Rng::nextDouble()
-{
-    // 53 random mantissa bits.
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
-}
-
-bool
-Rng::nextBool(double p)
-{
-    if (p <= 0.0)
-        return false;
-    if (p >= 1.0)
-        return true;
-    return nextDouble() < p;
-}
-
-std::uint64_t
-Rng::nextGeometric(double mean)
-{
-    if (mean <= 0.0)
-        return 0;
-    double u = nextDouble();
-    // Inverse CDF of the geometric distribution on {0, 1, 2, ...}
-    // with success probability 1 / (mean + 1).
-    if (mean != _geomMean) {
-        _geomMean = mean;
-        _geomLogQ = std::log1p(-(1.0 / (mean + 1.0)));
-    }
-    double g = std::floor(std::log1p(-u) / _geomLogQ);
-    if (g < 0.0)
-        g = 0.0;
-    return static_cast<std::uint64_t>(g);
 }
 
 } // namespace mellowsim

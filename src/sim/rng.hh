@@ -53,26 +53,27 @@ class Rng
     }
 
     /** Uniform double in [0, 1). */
-    double nextDouble();
+    double
+    nextDouble()
+    {
+        // 53 random mantissa bits.
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli draw: true with probability @p p. */
-    bool nextBool(double p);
-
-    /**
-     * Geometrically distributed gap with mean @p mean (>= 0).
-     * Used for compute-instruction gaps between memory references.
-     */
-    std::uint64_t nextGeometric(double mean);
+    bool
+    nextBool(double p)
+    {
+        if (p <= 0.0)
+            return false;
+        if (p >= 1.0)
+            return true;
+        return nextDouble() < p;
+    }
 
   private:
     std::uint64_t _s0;
     std::uint64_t _s1;
-    /**
-     * nextGeometric's log1p(-p) for the mean it last saw: a generator
-     * draws with one mean, so the logarithm is taken once.
-     */
-    double _geomMean = -1.0;
-    double _geomLogQ = 0.0;
 
     /** splitmix64 used to expand the single seed into state. */
     static std::uint64_t splitmix64(std::uint64_t &x);

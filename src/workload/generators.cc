@@ -17,7 +17,8 @@ SyntheticWorkload::SyntheticWorkload(const WorkloadParams &params,
       _rng(seed ^ 0xC0FFEE0Dull),
       _cold(params.pattern, kColdBase, params.footprintBytes, _rng,
             params.numStreams, params.strideBytes),
-      _hot(AccessPattern::Random, 0, params.hotBytes, _rng)
+      _hot(AccessPattern::Random, 0, params.hotBytes, _rng),
+      _gap(params.meanGap)
 {
     fatal_if(params.coldFraction < 0.0 || params.coldFraction > 1.0,
              "coldFraction must be in [0, 1]");
@@ -44,8 +45,7 @@ SyntheticWorkload::next()
         return op;
     }
 
-    op.gap = static_cast<std::uint32_t>(
-        _rng.nextGeometric(_params.meanGap));
+    op.gap = static_cast<std::uint32_t>(_gap.draw(_rng));
 
     bool cold = _rng.nextBool(_params.coldFraction);
     op.addr = cold ? _cold.next() : _hot.next();

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "sim/rng.hh"
+#include "workload/geometric_gap.hh"
 #include "workload/patterns.hh"
 #include "workload/workload.hh"
 
@@ -78,6 +79,7 @@ class SyntheticWorkload : public Workload
     Rng _rng;
     PatternCursor _cold;
     PatternCursor _hot;
+    GeometricGap _gap;
 
     /** Pending store half of a read-modify-write pair. */
     bool _rmwPending = false;

@@ -29,6 +29,9 @@ PatternCursor::PatternCursor(AccessPattern pattern, Addr base,
     fatal_if(numStreams == 0, "pattern needs >= 1 stream");
     if (_strideBlocks == 0)
         _strideBlocks = 1;
+    // A whole lap of the region is no step at all, so one compare
+    // and subtract wraps a cursor in next().
+    _strideBlocks %= _blocks;
     if (pattern == AccessPattern::Sequential ||
         pattern == AccessPattern::Strided) {
         _cursors.resize(numStreams);
@@ -50,18 +53,20 @@ PatternCursor::next()
     switch (_pattern) {
       case AccessPattern::Sequential: {
         auto &cur = _cursors[_nextStream];
-        _nextStream = (_nextStream + 1) % _cursors.size();
+        if (++_nextStream == _cursors.size())
+            _nextStream = 0;
         block = cur;
         cur = cur + 1 == _blocks ? 0 : cur + 1;
         break;
       }
       case AccessPattern::Strided: {
         auto &cur = _cursors[_nextStream];
-        _nextStream = (_nextStream + 1) % _cursors.size();
+        if (++_nextStream == _cursors.size())
+            _nextStream = 0;
         block = cur;
         cur += _strideBlocks;
         if (cur >= _blocks)
-            cur %= _blocks;
+            cur -= _blocks;
         break;
       }
       case AccessPattern::Random:

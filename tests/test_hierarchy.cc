@@ -324,14 +324,14 @@ TEST(Hierarchy, PrimeBatchMatchesPerOpPrime)
         ASSERT_EQ(a.numSets(), b.numSets());
         for (std::uint64_t s = 0; s < a.numSets(); ++s) {
             ASSERT_EQ(a.dirtyMask(s), b.dirtyMask(s)) << "set " << s;
-            std::span<const CacheLine> la = a.set(s);
-            std::span<const CacheLine> lb = b.set(s);
-            for (std::size_t w = 0; w < la.size(); ++w) {
-                ASSERT_EQ(la[w].valid, lb[w].valid);
-                ASSERT_EQ(la[w].blockAddr, lb[w].blockAddr);
-                ASSERT_EQ(la[w].dirty, lb[w].dirty);
-                ASSERT_EQ(la[w].eagerCleaned, lb[w].eagerCleaned);
-                ASSERT_EQ(la[w].touchStamp, lb[w].touchStamp);
+            for (unsigned pos = 0; pos < a.assoc(); ++pos) {
+                const CacheLine la = a.line(s, pos);
+                const CacheLine lb = b.line(s, pos);
+                ASSERT_EQ(la.valid, lb.valid);
+                ASSERT_EQ(la.blockAddr, lb.blockAddr);
+                ASSERT_EQ(la.dirty, lb.dirty);
+                ASSERT_EQ(la.eagerCleaned, lb.eagerCleaned);
+                ASSERT_EQ(la.touchStamp, lb.touchStamp);
             }
         }
     };

@@ -96,22 +96,3 @@ TEST(Rng, BoolEdgeProbabilities)
         EXPECT_TRUE(r.nextBool(1.5));
     }
 }
-
-TEST(Rng, GeometricMeanMatches)
-{
-    Rng r(17);
-    for (double mean : {0.5, 5.0, 80.0}) {
-        double sum = 0.0;
-        constexpr int kDraws = 200000;
-        for (int i = 0; i < kDraws; ++i)
-            sum += static_cast<double>(r.nextGeometric(mean));
-        EXPECT_NEAR(sum / kDraws, mean, mean * 0.05 + 0.05);
-    }
-}
-
-TEST(Rng, GeometricZeroMeanIsZero)
-{
-    Rng r(19);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(r.nextGeometric(0.0), 0u);
-}

@@ -55,9 +55,27 @@ AUTO_DECL_RE = re.compile(
     r"\bauto\s*&?\s*([A-Za-z_]\w*)\s*=\s*(?:[A-Za-z_]\w*\s*(?:\.|->)\s*)*"
     r"([A-Za-z_]\w*)\s*\(")
 
-#: `<var>.value()` and `<call>(...)..value()` receivers.
-VALUE_ON_CALL_RE = re.compile(r"([A-Za-z_]\w*)\s*\([^()]*\)\s*\.\s*value\s*\(\s*\)")
-VALUE_ON_NAME_RE = re.compile(r"([A-Za-z_]\w*)\s*\.\s*value\s*\(\s*\)")
+#: A `.value()` call; value_receiver() resolves what it is called on.
+VALUE_CALL_RE = re.compile(r"\.\s*value\s*\(\s*\)")
+
+#: Containers of a strong type: `std::vector<BankId> banks`,
+#: `std::array<ChannelId, 4> ids` (also std::deque and std::span) and
+#: C arrays `BankId order[8]`. Groups: element type, name.
+ELEM_DECL_RES = (
+    re.compile(
+        r"\b(?:std::)?(?:vector|array|deque|span)\s*<\s*(?:const\s+)?("
+        + _STRONG_ALT + r")\b[^;{}()<>]*>\s*&?\s*([A-Za-z_]\w*)\s*[;,)=({]"),
+    re.compile(r"\b(?:const\s+)?(" + _STRONG_ALT
+               + r")\s+([A-Za-z_]\w*)\s*\["),
+)
+
+#: A line holding only a (possibly templated or qualified) type, as
+#: the return type of a gem5-style definition on the next line.
+TYPE_LINE_RE = re.compile(r"^\s*[A-Za-z_\[][\w:<>,\s*&\[\]]*[\w>*&\]]\s*$")
+
+#: An opening brace of a namespace block (`namespace a {`,
+#: `namespace {`, with the brace on this or the next line).
+NAMESPACE_RE = re.compile(r"^\s*(?:inline\s+)?namespace\b[\w\s:]*\{?\s*$")
 
 CLASS_RE = re.compile(r"^\s*(?:class|struct)\s+([A-Za-z_]\w*)")
 
@@ -98,6 +116,37 @@ SCHEDULE_RE = re.compile(r"\b(?:schedule|scheduleIn)\s*\(")
 def unordered_names(clean: list[str]) -> set[str]:
     """Names of the unordered containers declared in @p clean."""
     return set(UNORDERED_DECL_RE.findall("\n".join(clean)))
+
+
+def value_receiver(line: str, dot: int) -> tuple[str, str] | None:
+    """What the `.value()` whose '.' is at @p dot is called on:
+    ("call", callee) for `f(...)`, ("elem", name) for `v[...]`,
+    ("name", name) for a plain or member name; None otherwise. The
+    argument or index list may nest."""
+    i = dot - 1
+    while i >= 0 and line[i].isspace():
+        i -= 1
+    kind = "name"
+    if i >= 0 and line[i] in ")]":
+        close = line[i]
+        opener = "(" if close == ")" else "["
+        depth = 0
+        while i >= 0:
+            if line[i] == close:
+                depth += 1
+            elif line[i] == opener:
+                depth -= 1
+                if depth == 0:
+                    break
+            i -= 1
+        if i < 0:
+            return None
+        kind = "call" if close == ")" else "elem"
+        i -= 1
+        while i >= 0 and line[i].isspace():
+            i -= 1
+    m = re.search(r"[A-Za-z_]\w*$", line[:i + 1])
+    return (kind, m.group(0)) if m else None
 
 
 def _is_digit_separator(line: str, i: int) -> bool:
@@ -189,14 +238,39 @@ def _find_body_open(clean: list[str], start: int, limit: int = 20):
     return None
 
 
+def _namespace_scope_lines(clean: list[str]) -> list[bool]:
+    """Per line: True when every brace open at its start belongs to a
+    namespace block, i.e. the line sits at namespace scope, and the
+    line before it ends a statement or block or is a lone return type
+    (so a constructor's initializer list does not count)."""
+    at_ns: list[bool] = []
+    stack: list[bool] = []  # one entry per open brace: is a namespace
+    prev = ""
+    for line in clean:
+        at_ns.append(all(stack) and (
+            not prev.strip() or prev.rstrip()[-1] in ";{}"
+            or bool(TYPE_LINE_RE.match(prev))))
+        for col, ch in enumerate(line):
+            if ch == "{":
+                head = line[:col + 1] if line[:col].strip() else prev + "{"
+                stack.append(bool(NAMESPACE_RE.match(head)))
+            elif ch == "}" and stack:
+                stack.pop()
+        if line.strip():
+            prev = line
+    return at_ns
+
+
 def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
     """Function definitions with body line ranges.
 
     Handles the repository style: out-of-line definitions starting at
     column 0, with the (possibly qualified) name there or after a
-    one-line return type, and in-class inline definitions of either
-    shape tracked through a class-name stack.
+    one-line return type, in-class inline definitions of either shape
+    tracked through a class-name stack, and definitions indented at
+    namespace scope (inside an indented namespace block).
     """
+    at_ns = _namespace_scope_lines(clean)
     funcs: list[FunctionDef] = []
     # (class_name, close_line) for in-class method qualification.
     class_stack: list[tuple[str, int]] = []
@@ -226,7 +300,7 @@ def extract_functions(path: str, clean: list[str]) -> list[FunctionDef]:
         m = DEF_RE.match(line)
         is_col0 = bool(m) and not line[:1].isspace()
         in_class = bool(class_stack)
-        if m and (is_col0 or in_class):
+        if m and (is_col0 or in_class or at_ns[i]):
             name = m.group(2)
             if name in CALL_KEYWORDS or re.match(
                     r"^\s*(?:if|for|while|switch|return)\b", line):
@@ -310,11 +384,15 @@ def build_project(files: dict[str, list[str]]) -> Project:
     ret_types: dict[str, set[str]] = {}
     autos: list[tuple[str, str]] = []
     unordered: set[str] = set()
+    elem_types: dict[str, set[str]] = {}
     for path, clean in cleaned.items():
         unordered |= unordered_names(clean)
         for li, line in enumerate(clean):
             for m in DECL_RE.finditer(line):
                 decl_types.setdefault(m.group(2), set()).add(m.group(1))
+            for elem_re in ELEM_DECL_RES:
+                for m in elem_re.finditer(line):
+                    elem_types.setdefault(m.group(2), set()).add(m.group(1))
             autos.extend(m.groups() for m in AUTO_DECL_RE.finditer(line))
             for m in RET_ONE_LINE_RE.finditer(line):
                 ret_types.setdefault(m.group(2), set()).add(m.group(1))
@@ -354,20 +432,14 @@ def build_project(files: dict[str, list[str]]) -> Project:
                         best, best_span = f.name, span
             return best
 
+        type_maps = {"call": ret_types, "elem": elem_types,
+                     "name": decl_types}
         for li, line in enumerate(clean):
-            spans = []
-            for m in VALUE_ON_CALL_RE.finditer(line):
-                spans.append(m.span())
-                types = ret_types.get(m.group(1), set())
-                if len(types) == 1:
-                    project.value_calls.append(ValueCall(
-                        file=path, line=li + 1,
-                        recv_type=next(iter(types)),
-                        enclosing=enclosing(li + 1)))
-            for m in VALUE_ON_NAME_RE.finditer(line):
-                if any(s <= m.start() < e for s, e in spans):
-                    continue  # already handled as a call receiver
-                types = decl_types.get(m.group(1), set())
+            for m in VALUE_CALL_RE.finditer(line):
+                recv = value_receiver(line, m.start())
+                if recv is None:
+                    continue
+                types = type_maps[recv[0]].get(recv[1], set())
                 if len(types) == 1:
                     project.value_calls.append(ValueCall(
                         file=path, line=li + 1,

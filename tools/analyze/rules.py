@@ -266,24 +266,164 @@ _PTR_ALIAS_TMPL = r"(?:\b(?:TYPES)\s*\*|auto\s*\*)\s*(\w+)\s*=\s*&\s*(\w+)"
 _REF_ALIAS_TMPL = r"(?:\b(?:TYPES)|auto)\s*&\s*(\w+)\s*=\s*(\w+)\s*;"
 
 
-def _blocks_in(clean: list[str], start: int, end: int):
-    """Brace blocks ((open_line, close_line, header), 1-based) inside
-    [start, end] (1-based line range)."""
-    blocks = []
-    stack: list[tuple[int, str]] = []
-    prev_text = ""
-    for ln in range(start, end + 1):
-        text = clean[ln - 1]
-        for col, ch in enumerate(text):
-            if ch == "{":
-                header = text[:col].strip() or prev_text.strip()
-                stack.append((ln, header))
-            elif ch == "}" and stack:
-                open_ln, header = stack.pop()
-                blocks.append((open_ln, ln, header))
-        if text.strip():
-            prev_text = text
-    return blocks
+_TOKEN_RE = re.compile(r"[A-Za-z_]\w*|\S")
+_KIND_BY_WORD = {"for": "loop", "while": "loop", "do": "loop",
+                 "switch": "switch", "if": "if", "else": "else"}
+
+Token = tuple[int, int, str]  # (1-based line, column, text)
+
+
+def _tokens(clean: list[str], start: int, end: int) -> list[Token]:
+    """Identifier and single-character tokens of lines start..end."""
+    return [(ln, m.start(), m.group(0))
+            for ln in range(start, end + 1)
+            for m in _TOKEN_RE.finditer(clean[ln - 1])]
+
+
+def _skip_group(toks: list[Token], i: int, step: int) -> int:
+    """From the bracket at @p i, the index of its partner, walking in
+    direction @p step (+1 from an opener, -1 from a closer)."""
+    pair = {"(": ")", ")": "(", "{": "}", "}": "{"}
+    here, there = toks[i][2], pair[toks[i][2]]
+    depth = 0
+    while 0 <= i < len(toks):
+        if toks[i][2] == here:
+            depth += 1
+        elif toks[i][2] == there:
+            depth -= 1
+            if depth == 0:
+                return i
+        i += step
+    return i - step
+
+
+def _brace_blocks(toks: list[Token]) -> tuple[dict[int, int],
+                                               dict[int, str]]:
+    """{open: close} token indices of every brace block, and each
+    block's kind: loop, switch, if (also else-if), else or other."""
+    close: dict[int, int] = {}
+    kind: dict[int, str] = {}
+    stack: list[int] = []
+    for i, (_ln, _col, text) in enumerate(toks):
+        if text == "{":
+            stack.append(i)
+            j = i - 1
+            if j >= 0 and toks[j][2] == ")":
+                j = _skip_group(toks, j, -1) - 1
+            kind[i] = _KIND_BY_WORD.get(toks[j][2], "other") \
+                if j >= 0 else "other"
+        elif text == "}" and stack:
+            close[stack.pop()] = i
+    return close, kind
+
+
+def _statement_start(toks: list[Token], i: int) -> bool:
+    return i == 0 or toks[i - 1][2] in ";{}"
+
+
+def _after_statement(toks: list[Token], i: int) -> int:
+    """Index just past the statement starting at @p i: a brace block,
+    or tokens up to the first ';' outside parentheses and braces."""
+    while i < len(toks):
+        text = toks[i][2]
+        if text in "({":
+            end = _skip_group(toks, i, +1)
+            if text == "{":
+                return end + 1
+            i = end
+        elif text == ";":
+            return i + 1
+        i += 1
+    return i
+
+
+def _skip_else_chain(toks: list[Token], i: int) -> int:
+    """Past the else / else-if branches that follow an if-block whose
+    closing brace is just before @p i."""
+    while i < len(toks) and toks[i][2] == "else":
+        i += 1
+        chained = i < len(toks) and toks[i][2] == "if"
+        if chained:
+            i = _skip_group(toks, i + 1, +1) + 1
+        i = _after_statement(toks, i)
+        if not chained:
+            break
+    return i
+
+
+def _is_reassignment(toks: list[Token], i: int, var: str) -> bool:
+    return (toks[i][2] == var and _statement_start(toks, i)
+            and i + 2 < len(toks) and toks[i + 1][2] == "="
+            and toks[i + 2][2] != "=")
+
+
+def _first_read(toks: list[Token], lo: int, hi: int, names: set[str],
+                var: str) -> int | None:
+    """First token in [lo, hi) naming one of @p names, in text order,
+    unless @p var is reassigned first."""
+    for i in range(lo, hi):
+        if _is_reassignment(toks, i, var):
+            return None
+        if toks[i][2] in names:
+            return i
+    return None
+
+
+def _read_after_enqueue(toks: list[Token], enq: int, resume: int,
+                        names: set[str], var: str) -> int | None:
+    """The first token naming one of @p names that control flow can
+    reach after the enqueue at token @p enq, walking from @p resume
+    (just past `std::move(var)`).
+
+    A return or throw that is not nested in a block opened after the
+    enqueue ends the path. Leaving an enclosing if-block skips its
+    else branches. A break or continue jumps to the end of the
+    enclosing loop (or, for break, switch). Leaving an enclosing loop
+    other than by break runs its body again up to the enqueue."""
+    close, kind = _brace_blocks(toks)
+    enclosing = {o for o, c in close.items() if o < enq < c}
+    stack = sorted(enclosing)
+    broken: set[int] = set()
+    i = resume
+    while i < len(toks) and stack:
+        text = toks[i][2]
+        if text == "{":
+            stack.append(i)
+            i += 1
+            continue
+        if text == "}":
+            opened = stack.pop()
+            i += 1
+            if opened not in enclosing:
+                continue
+            if kind[opened] == "loop" and opened not in broken:
+                hit = _first_read(toks, opened + 1, enq, names, var)
+                if hit is not None:
+                    return hit
+            if kind[opened] == "if":
+                i = _skip_else_chain(toks, i)
+            continue
+        if stack[-1] in enclosing and _statement_start(toks, i):
+            if text in ("return", "throw"):
+                return _first_read(toks, i, _after_statement(toks, i),
+                                   names, var)
+            targets = {"break": ("loop", "switch"),
+                       "continue": ("loop",)}.get(text)
+            target = next((o for o in reversed(stack)
+                           if targets and kind[o] in targets), None)
+            if target is not None:
+                if text == "break":
+                    broken.add(target)
+                while stack[-1] != target:
+                    stack.pop()
+                i = close[target]
+                continue
+        if _is_reassignment(toks, i, var):
+            return None
+        if text in names:
+            return i
+        i += 1
+    return None
 
 
 def check_request_lifetime(project: Project, manifest: dict) -> list[Hit]:
@@ -327,62 +467,27 @@ def check_request_lifetime(project: Project, manifest: dict) -> list[Hit]:
                 if m.group(2) in tracked:
                     aliases[m.group(1)] = m.group(2)
 
-        blocks = _blocks_in(clean, func.start, func.end)
-
-        def excluded_ranges(enq_line: int) -> list[tuple[int, int]]:
-            """Ranges unreachable after the enqueue: else-branches of
-            every if-block enclosing the enqueue (transitively through
-            else-if chains)."""
-            ranges = []
-            for open_ln, close_ln, header in blocks:
-                if not (open_ln <= enq_line <= close_ln):
-                    continue
-                if not re.search(r"\bif\b", header):
-                    continue
-                cur_close = close_ln
-                while True:
-                    sibling = next(
-                        ((o, c, h) for o, c, h in blocks
-                         if o == cur_close and re.search(r"\belse\b", h)),
-                        None)
-                    if sibling is None:
-                        break
-                    ranges.append((sibling[0], sibling[1]))
-                    if re.search(r"\bif\b", sibling[2]):
-                        cur_close = sibling[1]
-                    else:
-                        break
-            return ranges
-
+        toks = _tokens(clean, func.start, func.end)
         for ln in range(func.start, func.end + 1):
-            text = clean[ln - 1]
-            for m in enqueue_re.finditer(text):
+            for m in enqueue_re.finditer(clean[ln - 1]):
                 var = m.group(1)
                 if var not in tracked:
                     continue
-                dead = {var} | {a for a, v in aliases.items() if v == var}
-                excl = excluded_ranges(ln)
-                use_res = [re.compile(r"\b" + re.escape(d) + r"\b")
-                           for d in dead]
-                for ln2 in range(ln + 1, func.end + 1):
-                    if any(lo <= ln2 <= hi for lo, hi in excl):
-                        continue
-                    t2 = clean[ln2 - 1]
-                    if re.match(r"\s*" + re.escape(var) + r"\s*=[^=]", t2):
-                        break  # reassigned; tracking ends
-                    for use_re in use_res:
-                        um = use_re.search(t2)
-                        if um:
-                            findings.append((
-                                func.file, ln2,
-                                f"`{um.group(0)}` is read after the "
-                                f"request was handed to a queue at "
-                                f"{func.file}:{ln} (moved-from/retained "
-                                f"access in {func.name}())"))
-                            break
-                    else:
-                        continue
-                    break
+                names = {var} | {a for a, v in aliases.items() if v == var}
+                enq = next(k for k, t in enumerate(toks)
+                           if (t[0], t[1]) >= (ln, m.start()))
+                resume = next((k for k, t in enumerate(toks)
+                               if (t[0], t[1]) >= (ln, m.end())),
+                              len(toks))
+                hit = _read_after_enqueue(toks, enq, resume, names, var)
+                if hit is None:
+                    continue
+                read_ln, _col, name = toks[hit]
+                findings.append((
+                    func.file, read_ln,
+                    f"`{name}` is read after the request was handed "
+                    f"to a queue at {func.file}:{ln} (moved-from/"
+                    f"retained access in {func.name}())"))
     return findings
 
 
