@@ -173,7 +173,8 @@ benchRequestQueue(std::uint64_t totalOps)
     constexpr unsigned kBanks = 8;
     constexpr unsigned kDepth = 24;
 
-    RequestQueue q(kBanks, 32);
+    FlatCounter<std::uint64_t> index;
+    RequestQueue q(kBanks, 32, &index);
     std::uint64_t lookups = 0;
 
     auto churn = [&](std::uint64_t rounds) {
@@ -187,7 +188,7 @@ benchRequestQueue(std::uint64_t totalOps)
             req.arrival = static_cast<Tick>(r);
             nextAddr = (nextAddr + kBlockSize) % (1u << 22);
             q.push(std::move(req));
-            lookups += q.countForBlock(LogicalAddr(nextAddr));
+            lookups += index.count(blockNumber(LogicalAddr(nextAddr)));
             if (q.countForBank(BankId(bank)) > kDepth / kBanks) {
                 MemRequest out = q.pop(BankId(bank));
                 lookups += out.attempts;

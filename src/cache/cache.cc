@@ -107,6 +107,7 @@ SetAssocCache::allocateMru(std::uint64_t s, LogicalAddr block, bool dirty,
     way.eagerCleaned = false;
     st.dirty = (st.dirty & ~bit(w)) | (dirty ? bit(w) : 0);
     st.head = w;
+    _empty = false;
     return victim;
 }
 
@@ -117,6 +118,7 @@ SetAssocCache::access(LogicalAddr addr, bool isWrite, bool updateLru,
     LogicalAddr block = blockAlign(addr);
     std::uint64_t s = setIndex(addr);
     _lastWriteWastedEager = false;
+    _onlyPrimed = false;
 
     int found = find(s, block);
     if (found < 0)
@@ -148,7 +150,25 @@ SetAssocCache::insert(LogicalAddr addr, bool dirty, std::uint32_t stamp)
 {
     panic_if(probe(addr), "%s: inserting a line already present",
              _config.name.c_str());
+    _onlyPrimed = false;
     return allocateMru(setIndex(addr), blockAlign(addr), dirty, stamp);
+}
+
+CacheVictim
+SetAssocCache::fill(LogicalAddr addr, bool dirty, std::uint32_t stamp)
+{
+    LogicalAddr block = blockAlign(addr);
+    std::uint64_t s = setIndex(addr);
+    _onlyPrimed = false;
+    int found = find(s, block);
+    if (found < 0)
+        return allocateMru(s, block, dirty, stamp);
+    if (dirty) {
+        auto w = static_cast<unsigned>(found);
+        ways(s)[w].eagerCleaned = false;
+        _sets[s].dirty |= bit(w);
+    }
+    return {};
 }
 
 void
@@ -174,6 +194,162 @@ SetAssocCache::prime(LogicalAddr addr, bool dirty)
         moveToMru(s, w, pos);
 }
 
+namespace
+{
+
+/** Stack position of a block that is not a final line. */
+constexpr std::uint8_t kNotFinal = 0xFF;
+
+} // namespace
+
+PrimeScratch::PrimeScratch(std::size_t capacity, std::uint64_t lines)
+    : _capacity(capacity), _lines(lines),
+      _memory(std::make_unique_for_overwrite<PrimeOp[]>(capacity +
+                                                        2 * lines)),
+      _stackPos(lines)
+{
+    // A level has at most one set per line.
+    _walks.reserve(lines);
+}
+
+bool
+SetAssocCache::walkStep(PrimeScratch &scratch, std::uint64_t s,
+                        LogicalAddr block, bool write)
+{
+    const unsigned assoc = _config.assoc;
+    PrimeScratch::SetWalk &walk = scratch._walks[s];
+    PrimeOp *stack = scratch._memory.get() + scratch._capacity + s * assoc;
+    std::uint8_t *stackPos = scratch._stackPos.data() + s * assoc;
+
+    // The stack fills from its last slot down, so until it is full
+    // its entries are slots [assoc - fill, assoc).
+    for (unsigned w = assoc - walk.fill; w < assoc; ++w) {
+        if (stack[w].block() != block)
+            continue;
+        // Fewer than assoc other blocks since the block's later
+        // touch, so that touch hit: a final line's residency
+        // includes this one.
+        const std::uint8_t p = stackPos[w];
+        if (write && p != kNotFinal)
+            _sets[s].dirty |= bit(p);
+        for (unsigned to = w, n = position(walk.head, w); n > 0; --n) {
+            const unsigned from = to == 0 ? assoc - 1 : to - 1;
+            stack[to] = stack[from];
+            stackPos[to] = stackPos[from];
+            to = from;
+        }
+        stack[walk.head] = PrimeOp(block, false);
+        stackPos[walk.head] = p;
+        return false;
+    }
+
+    // A new block goes on top. A full stack drops its bottom entry:
+    // that block's later touch missed, so a final line dropping off
+    // began its residency at its oldest touch walked: it is settled.
+    // The stack is full only once assoc distinct blocks have been
+    // met, so by then every final line is known.
+    bool settled = false;
+    unsigned top;
+    if (walk.fill < assoc) {
+        top = assoc - 1 - walk.fill;
+        ++walk.fill;
+    } else {
+        top = walk.head == 0 ? assoc - 1 : walk.head - 1;
+        if (stackPos[top] != kNotFinal)
+            settled = --walk.live == 0;
+    }
+    walk.head = static_cast<std::uint8_t>(top);
+    stack[top] = PrimeOp(block, false);
+    if (walk.finals < assoc) {
+        // One of the first assoc distinct blocks: final line p, in
+        // way p under head 0.
+        const unsigned p = walk.finals++;
+        ways(s)[p].tag = block;
+        if (write)
+            _sets[s].dirty |= bit(p);
+        stackPos[top] = static_cast<std::uint8_t>(p);
+        ++walk.live;
+        _empty = false;
+    } else {
+        stackPos[top] = kNotFinal;
+    }
+    return settled;
+}
+
+void
+SetAssocCache::prime(std::span<const PrimeOp> ops, bool withStores,
+                     PrimeScratch &scratch)
+{
+    const unsigned assoc = _config.assoc;
+    const std::uint64_t lines = _numSets * assoc;
+    // A set settles only after 2 * assoc ops (assoc final lines, then
+    // assoc older blocks to push them off the stack), and a walk step
+    // costs about what a forward prime does. So on a level that holds
+    // lines, whose sets the walk must move aside and may have to walk
+    // through again, it pays only where the average set gets several
+    // times that many ops. An empty level has neither cost.
+    if (!_onlyPrimed || lines > scratch._lines ||
+        (!_empty && ops.size() < kWalkOpsPerLine * lines)) {
+        for (const PrimeOp &op : ops)
+            prime(op.block(), withStores && op.isWrite());
+        return;
+    }
+
+    scratch._walks.assign(_numSets, PrimeScratch::SetWalk{});
+    PrimeOp *saved =
+        scratch._memory.get() + scratch._capacity + scratch._lines;
+    auto settled = [&](std::uint64_t s) {
+        const PrimeScratch::SetWalk &walk = scratch._walks[s];
+        return walk.finals == assoc && walk.live == 0;
+    };
+
+    std::uint64_t settledSets = 0;
+    for (auto op = ops.rbegin(); op != ops.rend(); ++op) {
+        const LogicalAddr block = op->block();
+        const std::uint64_t s = setIndex(block);
+        PrimeScratch::SetWalk &walk = scratch._walks[s];
+        if (walk.fill == 0) {
+            // The set's first op of the batch. Move the lines it holds
+            // aside, MRU first, and empty it: the final lines are
+            // written in place as the walk finds them.
+            SetState &st = _sets[s];
+            Way *set = ways(s);
+            for (unsigned p = 0; p < assoc; ++p) {
+                unsigned w = st.head + p;
+                if (w >= assoc)
+                    w -= assoc;
+                if (set[w].tag == kInvalidTag)
+                    break;
+                saved[s * assoc + p] =
+                    PrimeOp(set[w].tag, ((st.dirty >> w) & 1) != 0);
+                ++walk.saved;
+            }
+            for (unsigned w = 0; w < assoc; ++w)
+                set[w] = Way{};
+            st = SetState{};
+        } else if (settled(s)) {
+            continue;
+        }
+        if (walkStep(scratch, s, block, withStores && op->isWrite()) &&
+            ++settledSets == _numSets) {
+            break;
+        }
+    }
+
+    // A set the batch touched but did not settle continues the walk
+    // over the lines it held before, MRU first, as its oldest
+    // touches: priming them in LRU-to-MRU order into an empty set
+    // rebuilds the set exactly, since only prime() has written it
+    // (stamps 0, no eager flags).
+    for (std::uint64_t s = 0; s < _numSets; ++s) {
+        const PrimeScratch::SetWalk &walk = scratch._walks[s];
+        for (unsigned p = 0; p < walk.saved && !settled(s); ++p) {
+            const PrimeOp line = saved[s * assoc + p];
+            walkStep(scratch, s, line.block(), line.isWrite());
+        }
+    }
+}
+
 bool
 SetAssocCache::cleanLineForEagerWrite(LogicalAddr addr)
 {
@@ -185,6 +361,7 @@ SetAssocCache::cleanLineForEagerWrite(LogicalAddr addr)
     SetState &st = _sets[s];
     if ((st.dirty & bit(w)) == 0)
         return false;
+    _onlyPrimed = false;
     st.dirty &= ~bit(w);
     ways(s)[w].eagerCleaned = true;
     return true;

@@ -1,5 +1,7 @@
 #include "cache/hierarchy.hh"
 
+#include <algorithm>
+
 #include "sim/logging.hh"
 
 namespace mellowsim
@@ -55,18 +57,14 @@ Hierarchy::writeIntoL2(LogicalAddr blockAddr)
 void
 Hierarchy::fillUpper(LogicalAddr blockAddr, bool dirtyInL1)
 {
-    if (!_l2.probe(blockAddr)) {
-        CacheVictim victim = _l2.insert(blockAddr, /*dirty=*/false);
-        if (victim.valid && victim.dirty)
-            writeIntoLlc(victim.blockAddr);
-    }
-    if (!_l1.probe(blockAddr)) {
-        CacheVictim victim = _l1.insert(blockAddr, dirtyInL1);
-        if (victim.valid && victim.dirty)
-            writeIntoL2(victim.blockAddr);
-    } else if (dirtyInL1) {
-        _l1.access(blockAddr, /*isWrite=*/true, /*updateLru=*/false);
-    }
+    // Each fill leaves a line already present in place; a store
+    // merged into the fill dirties the L1 copy either way.
+    CacheVictim victim = _l2.fill(blockAddr, /*dirty=*/false);
+    if (victim.valid && victim.dirty)
+        writeIntoLlc(victim.blockAddr);
+    victim = _l1.fill(blockAddr, dirtyInL1);
+    if (victim.valid && victim.dirty)
+        writeIntoL2(victim.blockAddr);
 }
 
 AccessTicket
@@ -87,11 +85,9 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
     if (l2_res.hit) {
         ++_stats.l2Hits;
         // Move the line up into L1.
-        if (!_l1.probe(block)) {
-            CacheVictim victim = _l1.insert(block, isWrite);
-            if (victim.valid && victim.dirty)
-                writeIntoL2(victim.blockAddr);
-        }
+        CacheVictim victim = _l1.fill(block, isWrite);
+        if (victim.valid && victim.dirty)
+            writeIntoL2(victim.blockAddr);
         return {AccessOutcome::Hit,
                 _l1.hitLatency() + _l2.hitLatency()};
     }
@@ -150,19 +146,27 @@ Hierarchy::access(LogicalAddr addr, bool isWrite, Callback done)
 void
 Hierarchy::prime(LogicalAddr addr, bool isWrite)
 {
-    PrimeOp op{addr, isWrite};
-    prime(std::span<const PrimeOp>(&op, 1));
+    LogicalAddr block = blockAlign(addr);
+    _l1.prime(block, isWrite);
+    _l2.prime(block, false);
+    _llc.prime(block, isWrite);
 }
 
 void
-Hierarchy::prime(std::span<const PrimeOp> ops)
+Hierarchy::prime(std::span<const PrimeOp> ops, PrimeScratch &scratch)
 {
-    for (const PrimeOp &op : ops)
-        _l1.prime(blockAlign(op.addr), op.isWrite);
-    for (const PrimeOp &op : ops)
-        _l2.prime(blockAlign(op.addr), false);
-    for (const PrimeOp &op : ops)
-        _llc.prime(blockAlign(op.addr), op.isWrite);
+    _l1.prime(ops, /*withStores=*/true, scratch);
+    _l2.prime(ops, /*withStores=*/false, scratch);
+    _llc.prime(ops, scratch);
+}
+
+PrimeScratch
+Hierarchy::primeScratch(std::size_t capacity) const
+{
+    std::uint64_t lines = 0;
+    for (const SetAssocCache *level : {&_l1, &_l2, &_llc.array()})
+        lines = std::max(lines, level->numSets() * level->assoc());
+    return PrimeScratch(capacity, lines);
 }
 
 void

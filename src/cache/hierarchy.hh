@@ -60,13 +60,6 @@ struct AccessTicket
     Tick latency = 0; ///< valid for Hit
 };
 
-/** One warm-up access, as Hierarchy::prime consumes it. */
-struct PrimeOp
-{
-    LogicalAddr addr;
-    bool isWrite = false;
-};
-
 /** Hierarchy statistics. */
 struct HierarchyStats
 {
@@ -107,8 +100,7 @@ class Hierarchy
     /**
      * Functionally touch a block (warm-up): installs/updates the line
      * in all levels with no timing, statistics, or memory traffic.
-     * Victims are dropped silently. The one-op case of the batch
-     * prime below.
+     * Victims are dropped silently.
      */
     void prime(LogicalAddr addr, bool isWrite);
 
@@ -116,9 +108,18 @@ class Hierarchy
      * Prime every op of @p ops in stream order, level-major: all of
      * L1, then all of L2, then all of the LLC. A level's prime never
      * looks at another level, so the final state equals priming the
-     * ops one at a time through every level.
+     * ops one at a time through every level. A level walks the batch
+     * backwards from its newest op where that pays, and stops once
+     * older ops cannot change it (SetAssocCache::prime); @p scratch
+     * holds the walk's state across the batches of one warm-up.
      */
-    void prime(std::span<const PrimeOp> ops);
+    void prime(std::span<const PrimeOp> ops, PrimeScratch &scratch);
+
+    /**
+     * A scratch for batches of up to @p capacity ops that can walk
+     * every level of this hierarchy.
+     */
+    [[nodiscard]] PrimeScratch primeScratch(std::size_t capacity) const;
 
     [[nodiscard]] const HierarchyStats &stats() const { return _stats; }
     [[nodiscard]] const SetAssocCache &l1() const { return _l1; }

@@ -96,16 +96,21 @@ Llc::writebackFromUpper(LogicalAddr addr)
 void
 Llc::fillFromMemory(LogicalAddr addr)
 {
-    // A concurrent upper-level write back may have raced the fill in.
-    if (_array.probe(addr))
-        return;
-    handleVictim(_array.insert(addr, /*dirty=*/false, _period));
+    // A concurrent upper-level write back may have raced the fill in;
+    // then the line is present and nothing is evicted.
+    handleVictim(_array.fill(addr, /*dirty=*/false, _period));
 }
 
 void
 Llc::prime(LogicalAddr addr, bool dirty)
 {
     _array.prime(addr, dirty);
+}
+
+void
+Llc::prime(std::span<const PrimeOp> ops, PrimeScratch &scratch)
+{
+    _array.prime(ops, /*withStores=*/true, scratch);
 }
 
 int

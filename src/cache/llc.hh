@@ -15,6 +15,7 @@
 #define MELLOWSIM_CACHE_LLC_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -103,6 +104,9 @@ class Llc
 
     /** Warm-up touch: no statistics, no profiler, no memory traffic. */
     void prime(LogicalAddr addr, bool dirty);
+
+    /** Warm-up touches of a batch, in stream order (see prime()). */
+    void prime(std::span<const PrimeOp> ops, PrimeScratch &scratch);
 
     [[nodiscard]] const LlcStats &stats() const { return _stats; }
 

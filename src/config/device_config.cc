@@ -161,7 +161,16 @@ constexpr Constraint kConstraints[] = {
      "write-queue forwarding must beat an array activate "
      "(ForwardLatencyNs < tRCD)"},
 
-    // Geometry and capacity arithmetic, in bytes
+    // Geometry and capacity arithmetic, in bytes. A bank count that
+    // is not a power of two cannot meet the capacity product with a
+    // power-of-two capacity, so it is named first.
+    {"geometry-arithmetic", "pow2-banks", "BANKS",
+     [](const Bound &b) {
+         return std::has_single_bit(b.c.geometry.numBanks) &&
+                std::has_single_bit(b.c.geometry.banksPerRank());
+     },
+     "BANKS and RANKS must be powers of two (the address map shifts "
+     "and masks)"},
     {"geometry-arithmetic", "capacity-product", "CapacityBytes",
      [](const Bound &b) {
          const MemGeometry &g = b.c.geometry;

@@ -37,33 +37,47 @@ AddressMap::AddressMap(const MemGeometry &geometry) : _geometry(geometry)
                  static_cast<std::uint64_t>(geometry.numBanks) *
                      geometry.interleaveBytes,
              "capacity smaller than one interleave chunk per bank");
-    _blocksPerRowBuffer = geometry.rowBufferBytes / kBlockSize;
-    _blocksPerChunk = geometry.interleaveBytes / kBlockSize;
+
+    // The decode shifts and masks, so every divisor must be a power
+    // of two.
+    auto log2Of = [](const char *what, std::uint64_t v) {
+        fatal_if(!isPowerOfTwo(v),
+                 "the address map needs a power-of-two %s (got %llu)",
+                 what, static_cast<unsigned long long>(v));
+        return floorLog2(v);
+    };
+    _capacityMask =
+        (std::uint64_t{1} << log2Of("capacity", geometry.capacityBytes)) -
+        1;
+    _rowBufferShift =
+        log2Of("row buffer", geometry.rowBufferBytes) - kBlockShift;
+    _chunkShift =
+        log2Of("interleave granularity", geometry.interleaveBytes) -
+        kBlockShift;
+    _bankShift = log2Of("bank count", geometry.numBanks);
+    _rankShift = log2Of("banks per rank", geometry.banksPerRank());
 
     if (geometry.pageScramble) {
         fatal_if(geometry.pageBytes < kBlockSize,
                  "page size smaller than a block");
         fatal_if(geometry.capacityBytes % geometry.pageBytes != 0,
                  "capacity must be a multiple of the page size");
-        _numPages = geometry.capacityBytes / geometry.pageBytes;
-        fatal_if(!isPowerOfTwo(_numPages),
-                 "page scrambling requires a power-of-two page count "
-                 "(got %llu)",
-                 static_cast<unsigned long long>(_numPages));
-        _pageBits = floorLog2(_numPages);
+        _pageShift = log2Of("page size", geometry.pageBytes);
+        _pageBits = log2Of("page count",
+                           geometry.capacityBytes / geometry.pageBytes);
     }
 }
 
 LogicalAddr
 AddressMap::translate(LogicalAddr addr) const
 {
-    Addr raw = addr.value() % _geometry.capacityBytes;
+    Addr raw = addr.value() & _capacityMask;
     // Fewer than four pages: nothing meaningful to permute.
     if (!_geometry.pageScramble || _pageBits < 2)
         return LogicalAddr(raw);
 
-    std::uint64_t page = raw / _geometry.pageBytes;
-    std::uint64_t offset = raw % _geometry.pageBytes;
+    std::uint64_t page = raw >> _pageShift;
+    std::uint64_t offset = raw & ((std::uint64_t{1} << _pageShift) - 1);
 
     // Unbalanced Feistel network over the page index: each round
     // XOR-masks one half with a hash of the other, which is a
@@ -82,22 +96,23 @@ AddressMap::translate(LogicalAddr addr) const
         page = (lo << a) | hi;
         std::swap(a, b);
     }
-    return LogicalAddr(page * _geometry.pageBytes + offset);
+    return LogicalAddr((page << _pageShift) | offset);
 }
 
 DecodedAddr
 AddressMap::decode(LogicalAddr addr) const
 {
     std::uint64_t block = translate(addr).value() >> kBlockShift;
-    std::uint64_t chunk = block / _blocksPerChunk;
-    std::uint64_t offset = block % _blocksPerChunk;
+    std::uint64_t chunk = block >> _chunkShift;
+    std::uint64_t offset = block & ((std::uint64_t{1} << _chunkShift) - 1);
 
     DecodedAddr d;
-    d.bank = BankId(static_cast<unsigned>(chunk % _geometry.numBanks));
-    d.rank = d.bank.value() / _geometry.banksPerRank();
-    d.blockInBank = LineIndex(
-        chunk / _geometry.numBanks * _blocksPerChunk + offset);
-    d.rowTag = d.blockInBank.value() / _blocksPerRowBuffer;
+    d.bank = BankId(static_cast<unsigned>(
+        chunk & ((std::uint64_t{1} << _bankShift) - 1)));
+    d.rank = d.bank.value() >> _rankShift;
+    d.blockInBank =
+        LineIndex(((chunk >> _bankShift) << _chunkShift) | offset);
+    d.rowTag = d.blockInBank.value() >> _rowBufferShift;
     return d;
 }
 

@@ -42,7 +42,6 @@ struct MemGeometry
      * trailing write back on the very bank the stream is reading,
      * which no real (page-mapped) system exhibits. Page-internal
      * locality, and therefore row-buffer behaviour, is preserved.
-     * Requires capacityBytes / pageBytes to be a power of two.
      */
     bool pageScramble = true;
     std::uint64_t pageBytes = 4096;
@@ -68,7 +67,11 @@ struct DecodedAddr
     std::uint64_t rowTag = 0;
 };
 
-/** Decodes physical addresses under a given geometry. */
+/**
+ * Decodes physical addresses under a given geometry. Capacity, row
+ * buffer, interleave chunk, page (when scrambling), bank count and
+ * banks per rank must be powers of two: the decode shifts and masks.
+ */
 class AddressMap
 {
   public:
@@ -89,9 +92,18 @@ class AddressMap
 
   private:
     MemGeometry _geometry;
-    std::uint64_t _blocksPerRowBuffer;
-    std::uint64_t _blocksPerChunk;
-    std::uint64_t _numPages = 0;
+    /**
+     * Every divisor of the decode is a power of two (checked at
+     * construction), so it masks by the capacity (the wrap) and
+     * shifts by the log2 of page bytes, blocks per chunk, blocks per
+     * row buffer, bank count and banks per rank.
+     */
+    std::uint64_t _capacityMask = 0;
+    unsigned _pageShift = 0;
+    unsigned _chunkShift = 0;
+    unsigned _rowBufferShift = 0;
+    unsigned _bankShift = 0;
+    unsigned _rankShift = 0;
     unsigned _pageBits = 0;
 };
 

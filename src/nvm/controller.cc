@@ -15,8 +15,10 @@ MemoryController::MemoryController(EventQueue &eventq,
       _slowPulse(config.timing.slowWritePulse(
           PulseFactor(config.policy.slowFactor))),
       _readQ(config.geometry.numBanks, config.readQueueSize),
-      _writeQ(config.geometry.numBanks, config.writeQueueSize),
-      _eagerQ(config.geometry.numBanks, config.eagerQueueSize),
+      _writeQ(config.geometry.numBanks, config.writeQueueSize,
+              &_pendingWriteBlocks),
+      _eagerQ(config.geometry.numBanks, config.eagerQueueSize,
+              &_pendingWriteBlocks),
       _banks(config.geometry.numBanks), _ranks(config.geometry.numRanks),
       _writeCompletion(config.geometry.numBanks, InvalidEventHandle),
       _lastReadArrival(config.geometry.numBanks, 0),
@@ -135,8 +137,7 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
     // Read forwarding: a queued (or eager-queued) write to the same
     // block supplies the data from the controller's buffers without
     // touching the memory array.
-    if (_writeQ.countForBlock(addr) > 0 ||
-        _eagerQ.countForBlock(addr) > 0) {
+    if (_pendingWriteBlocks.count(blockNumber(addr)) > 0) {
         ++_stats.forwardedReads;
         _stats.readLatency.sample(
             static_cast<double>(_config.forwardLatency));

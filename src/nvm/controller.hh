@@ -337,6 +337,12 @@ class MemoryController : public MemoryPort
     NvmTimingParams _timing;
     Tick _slowPulse;
 
+    /**
+     * Block numbers of every queued write and eager write: the one
+     * index read forwarding looks up. Declared before the queues
+     * that count into it.
+     */
+    FlatCounter<std::uint64_t> _pendingWriteBlocks;
     RequestQueue _readQ;
     RequestQueue _writeQ;
     RequestQueue _eagerQ;

@@ -5,15 +5,13 @@
 namespace mellowsim
 {
 
-RequestQueue::RequestQueue(unsigned numBanks, unsigned capacity)
-    : _banks(numBanks), _blockIndex(64), _nonEmpty(numBanks),
+RequestQueue::RequestQueue(unsigned numBanks, unsigned capacity,
+                           FlatCounter<std::uint64_t> *blockIndex)
+    : _banks(numBanks), _blockIndex(blockIndex), _nonEmpty(numBanks),
       _frontArrival(numBanks, MaxTick), _capacity(capacity)
 {
     fatal_if(numBanks == 0, "request queue needs >= 1 bank");
     fatal_if(capacity == 0, "request queue needs capacity >= 1");
-    // One live entry per bank plus the full stale backlog the rebuild
-    // threshold in noteFrontArrival() permits.
-    _arrivalHeap.reserve(numBanks * 5 + 65);
 }
 
 unsigned
@@ -37,48 +35,18 @@ RequestQueue::allocSlot(MemRequest req)
 }
 
 void
-RequestQueue::noteFrontArrival(BankId bank, Tick arrival)
-{
-    _frontArrival[bank] = arrival;
-    if (arrival == MaxTick)
-        return;
-    _arrivalHeap.push_back(ArrivalEntry{arrival, bank});
-    std::push_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                   ArrivalAfter{});
-    // Bound the stale backlog; the rebuild restores one live entry
-    // per non-empty bank.
-    if (_arrivalHeap.size() > _banks.size() * 4 + 64)
-        rebuildArrivalHeap();
-}
-
-void
-RequestQueue::rebuildArrivalHeap() const
-{
-    _arrivalHeap.clear();
-    for (std::uint32_t b = 0;
-         b < static_cast<std::uint32_t>(_banks.size()); ++b) {
-        BankId bank(b);
-        if (_frontArrival[bank] != MaxTick)
-            _arrivalHeap.push_back(
-                ArrivalEntry{_frontArrival[bank], bank});
-    }
-    std::make_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                   ArrivalAfter{});
-}
-
-void
 RequestQueue::push(MemRequest req)
 {
     RingDeque<ReqSlot> &fifo = _banks[req.loc.bank];
     BankId bank = req.loc.bank;
-    std::uint64_t block = blockNumber(req.addr);
+    if (_blockIndex != nullptr)
+        _blockIndex->increment(blockNumber(req.addr));
     Tick arrival = req.arrival;
     fifo.push_back(allocSlot(std::move(req)));
-    _blockIndex.increment(block);
     ++_size;
     if (fifo.size() == 1) {
         _nonEmpty.set(bank);
-        noteFrontArrival(bank, arrival);
+        _frontArrival[bank] = arrival;
     }
 }
 
@@ -87,13 +55,13 @@ RequestQueue::pushFront(MemRequest req)
 {
     RingDeque<ReqSlot> &fifo = _banks[req.loc.bank];
     BankId bank = req.loc.bank;
-    std::uint64_t block = blockNumber(req.addr);
+    if (_blockIndex != nullptr)
+        _blockIndex->increment(blockNumber(req.addr));
     Tick arrival = req.arrival;
     fifo.push_front(allocSlot(std::move(req)));
-    _blockIndex.increment(block);
     ++_size;
     _nonEmpty.set(bank);
-    noteFrontArrival(bank, arrival);
+    _frontArrival[bank] = arrival;
 }
 
 const MemRequest &
@@ -116,35 +84,22 @@ RequestQueue::pop(BankId bank)
     // destroy per pop for nothing).
     _arena[slot].onComplete = nullptr;
     _freeSlots.push_back(slot);
-    _blockIndex.decrement(blockNumber(req.addr));
+    if (_blockIndex != nullptr)
+        _blockIndex->decrement(blockNumber(req.addr));
     --_size;
     if (fifo.empty()) {
         _nonEmpty.clear(bank);
         _frontArrival[bank] = MaxTick;
     } else {
-        noteFrontArrival(bank, _arena[fifo.front()].arrival);
+        _frontArrival[bank] = _arena[fifo.front()].arrival;
     }
     return req;
-}
-
-unsigned
-RequestQueue::countForBlock(LogicalAddr addr) const
-{
-    return _blockIndex.count(blockNumber(addr));
 }
 
 Tick
 RequestQueue::oldestArrival() const
 {
-    while (!_arrivalHeap.empty()) {
-        const ArrivalEntry &top = _arrivalHeap.front();
-        if (_frontArrival[top.bank] == top.arrival)
-            return top.arrival;
-        std::pop_heap(_arrivalHeap.begin(), _arrivalHeap.end(),
-                      ArrivalAfter{});
-        _arrivalHeap.pop_back();
-    }
-    return MaxTick;
+    return *std::min_element(_frontArrival.begin(), _frontArrival.end());
 }
 
 } // namespace mellowsim

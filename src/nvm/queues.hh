@@ -4,19 +4,18 @@
  *
  * Each of the read, write and eager queues is a set of per-bank FIFOs
  * with a shared size. Per-bank counts are what the Figure 9 decision
- * logic consumes; a block-address index supports read forwarding from
- * pending writes.
+ * logic consumes. A queue may also count its requests' blocks into a
+ * block index shared with other queues: the write and eager queues
+ * share one, which read forwarding from pending writes consults.
  *
  * Data layout (see DESIGN.md "Performance architecture"): requests
  * are pooled in an IndexedVector arena behind typed ReqSlot indices
  * and recycled through a free list, so steady-state traffic allocates
  * nothing. The per-bank FIFOs are ring buffers of slot indices
  * (RingDeque), the block index is an open-addressing FlatCounter
- * keyed by block number, the non-empty-bank set is an incrementally
- * maintained IndexMask the controller's scheduling pass walks instead
- * of probing every bank, and oldestArrival() resolves from a lazily
- * repaired min-heap of per-bank front arrivals instead of scanning
- * all banks.
+ * keyed by block number, and the non-empty-bank set is an
+ * incrementally maintained IndexMask the controller's scheduling pass
+ * walks instead of probing every bank.
  */
 
 #ifndef MELLOWSIM_NVM_QUEUES_HH
@@ -56,7 +55,13 @@ using ReqSlot = StrongOrdinal<detail::ReqSlotTag, std::uint32_t>;
 class RequestQueue
 {
   public:
-    RequestQueue(unsigned numBanks, unsigned capacity);
+    /**
+     * @param blockIndex  Counts every queued request's block number,
+     *                    or null for no index. Not owned; it must
+     *                    outlive the queue.
+     */
+    RequestQueue(unsigned numBanks, unsigned capacity,
+                 FlatCounter<std::uint64_t> *blockIndex = nullptr);
 
     /** Total queued requests across banks. */
     [[nodiscard]] std::size_t size() const { return _size; }
@@ -80,9 +85,6 @@ class RequestQueue
     /** Remove and return the oldest request for a bank. */
     MemRequest pop(BankId bank);
 
-    /** Number of queued requests in @p addr's 64-byte block. */
-    [[nodiscard]] unsigned countForBlock(LogicalAddr addr) const;
-
     /** Oldest front-of-FIFO arrival across banks (MaxTick if empty). */
     [[nodiscard]] Tick oldestArrival() const;
 
@@ -98,45 +100,16 @@ class RequestQueue
     }
 
   private:
-    /** Lazily validated entry of the front-arrival min-heap. */
-    struct ArrivalEntry
-    {
-        Tick arrival;
-        BankId bank;
-    };
-
-    struct ArrivalAfter
-    {
-        [[nodiscard]] bool
-        operator()(const ArrivalEntry &a, const ArrivalEntry &b) const
-        {
-            return a.arrival > b.arrival;
-        }
-    };
-
     /** Move @p req into a pooled slot (free list first). */
     ReqSlot allocSlot(MemRequest req);
-
-    /** Record that @p bank's front arrival is now @p arrival. */
-    void noteFrontArrival(BankId bank, Tick arrival);
-
-    /** Rebuild the arrival heap from the per-bank front arrivals. */
-    void rebuildArrivalHeap() const;
 
     IndexedVector<ReqSlot, MemRequest> _arena;
     std::vector<ReqSlot> _freeSlots;
     IndexedVector<BankId, RingDeque<ReqSlot>> _banks;
-    FlatCounter<std::uint64_t> _blockIndex;
+    FlatCounter<std::uint64_t> *_blockIndex;
     IndexMask<BankId> _nonEmpty;
     /** Arrival of each bank's front request (MaxTick when empty). */
     IndexedVector<BankId, Tick> _frontArrival;
-    /**
-     * Min-heap over (arrival, bank); entries go stale when a bank's
-     * front changes and are discarded lazily on query. mutable: the
-     * lazy repair in oldestArrival() is a cache cleanup, not a
-     * semantic mutation.
-     */
-    mutable std::vector<ArrivalEntry> _arrivalHeap;
     std::size_t _size = 0;
     unsigned _capacity;
 };

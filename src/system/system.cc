@@ -1,7 +1,6 @@
 #include "system/system.hh"
 
 #include <cmath>
-#include <vector>
 
 #include "check/install.hh"
 #include "check/registry.hh"
@@ -58,23 +57,25 @@ System::run()
     _ran = true;
 
     // Functional warm-up from the front of the workload stream, in
-    // bounded chunks that the hierarchy primes level by level. The
-    // chunk buffer is freed before the detailed phase.
+    // batches that the hierarchy primes level by level, each level
+    // backwards from the batch's newest op where that pays. The batch
+    // size is fixed here, not by the warm-up length: 2^17 packed ops
+    // are 1 MB. The batch and the walk's state are freed before the
+    // detailed phase.
     {
-        constexpr std::size_t kChunkOps = 4096;
-        std::vector<PrimeOp> chunk;
-        chunk.reserve(kChunkOps);
+        constexpr std::size_t kBatchOps = std::size_t{1} << 17;
+        PrimeScratch warm = _hierarchy->primeScratch(kBatchOps);
         std::uint64_t warm_instrs = 0;
         while (warm_instrs < _config.warmupInstructions) {
-            chunk.clear();
-            while (chunk.size() < kChunkOps &&
+            warm.clear();
+            while (!warm.full() &&
                    warm_instrs < _config.warmupInstructions) {
                 Op op = _workload->next();
                 warm_instrs += op.gap + 1;
                 // A workload op enters the logical address space here.
-                chunk.push_back({LogicalAddr(op.addr), op.isWrite});
+                warm.push(LogicalAddr(op.addr), op.isWrite);
             }
-            _hierarchy->prime(chunk);
+            _hierarchy->prime(warm.ops(), warm);
         }
     }
 

@@ -106,6 +106,26 @@ TEST(Cache, DoubleInsertPanics)
     EXPECT_THROW(c.insert(LogicalAddr(0x40), true), PanicError);
 }
 
+TEST(Cache, FillAllocatesOnlyWhenAbsent)
+{
+    // A fill never allocates a second copy: a present line keeps its
+    // place, and a dirty fill only dirties it.
+    SetAssocCache c(tiny(2, 2));
+    EXPECT_FALSE(c.fill(addrFor(0, 1), false).valid);
+    EXPECT_FALSE(c.fill(addrFor(0, 2), false).valid); // tag 1 at LRU
+    EXPECT_FALSE(c.fill(addrFor(0, 1), true).valid);  // present
+    EXPECT_EQ(c.line(0, 1).blockAddr, addrFor(0, 1));
+    EXPECT_TRUE(c.line(0, 1).dirty);
+    EXPECT_EQ(c.countDirtyLines(), 1u);
+    // A miss evicts the LRU line, the dirtied tag 1.
+    CacheVictim v = c.fill(addrFor(0, 3), false, 5);
+    EXPECT_TRUE(v.valid);
+    EXPECT_TRUE(v.dirty);
+    EXPECT_EQ(v.blockAddr, addrFor(0, 1));
+    EXPECT_EQ(c.line(0, 0).blockAddr, addrFor(0, 3));
+    EXPECT_EQ(c.line(0, 0).touchStamp, 5u);
+}
+
 TEST(Cache, WriteSetsDirty)
 {
     SetAssocCache c(tiny());

@@ -280,15 +280,16 @@ PrintTo(const Family &f, std::ostream *os)
     *os << f.name;
 }
 
-} // namespace
+/**
+ * A second fixture of a family the table already covers; ctest names
+ * the table's instances by family, so it runs as its own test.
+ */
+const Rejection kPow2Banks = {"fail_pow2_banks", "geometry-arithmetic",
+                              "BANKS", "[geometry-arithmetic: pow2-banks]"};
 
-class RejectedFixture : public ::testing::TestWithParam<Rejection>
+void
+expectFailsNamingItsRule(const Rejection &r)
 {
-};
-
-TEST_P(RejectedFixture, FailsNamingItsRule)
-{
-    const Rejection &r = GetParam();
     const std::string text = loadFatalText(r.fixture);
     ASSERT_FALSE(text.empty()) << r.fixture << " loaded cleanly";
     EXPECT_NE(text.find(r.rule), std::string::npos) << text;
@@ -302,6 +303,22 @@ TEST_P(RejectedFixture, FailsNamingItsRule)
         (line > 0 ? ":" + std::to_string(line) + ":" : ":");
     EXPECT_NE(text.find(where), std::string::npos)
         << "expected '" << where << "' in: " << text;
+}
+
+} // namespace
+
+class RejectedFixture : public ::testing::TestWithParam<Rejection>
+{
+};
+
+TEST_P(RejectedFixture, FailsNamingItsRule)
+{
+    expectFailsNamingItsRule(GetParam());
+}
+
+TEST(ConfigFixtures, Pow2BanksFailsNamingItsRule)
+{
+    expectFailsNamingItsRule(kPow2Banks);
 }
 
 INSTANTIATE_TEST_SUITE_P(ConfigFixtures, RejectedFixture,
@@ -402,6 +419,8 @@ TEST(ConfigRules, EveryConstraintRowFires)
         {"tWP 2\n", "[timing-inequality: wp-dominates-cas]"},
         {"ForwardLatencyNs 120\n",
          "[timing-inequality: forward-beats-array]"},
+        {"BANKS 6\n", "[geometry-arithmetic: pow2-banks]"},
+        {"RANKS 3\n", "[geometry-arithmetic: pow2-banks]"},
         {"ROWS 9999\n", "[geometry-arithmetic: capacity-product]"},
         {"RowBufferBytes 768\n",
          "[geometry-arithmetic: rowbuffer-divides-row]"},

@@ -305,18 +305,19 @@ TEST(Hierarchy, PrimeBatchMatchesPerOpPrime)
     std::mt19937_64 rng(11);
     std::vector<PrimeOp> ops(20'000);
     for (PrimeOp &op : ops) {
-        op.addr = LogicalAddr((rng() % 4096) * kBlockSize + rng() % 64);
-        op.isWrite = rng() % 4 == 0;
+        const Addr byte = (rng() % 4096) * kBlockSize + rng() % 64;
+        op = PrimeOp(LogicalAddr(byte), rng() % 4 == 0);
     }
 
     Fixture perOp;
     for (const PrimeOp &op : ops)
-        perOp.hier.prime(op.addr, op.isWrite);
+        perOp.hier.prime(op.block(), op.isWrite());
     Fixture batched;
+    PrimeScratch scratch = batched.hier.primeScratch(0);
     std::span<const PrimeOp> rest(ops);
     for (std::size_t chunk = 1; !rest.empty(); chunk = chunk * 3 + 1) {
         std::size_t n = std::min(chunk, rest.size());
-        batched.hier.prime(rest.first(n));
+        batched.hier.prime(rest.first(n), scratch);
         rest = rest.subspan(n);
     }
 

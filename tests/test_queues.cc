@@ -81,15 +81,37 @@ TEST(RequestQueue, FullIsAdvisory)
 
 TEST(RequestQueue, BlockIndexCountsPendingWritesPerBlock)
 {
-    RequestQueue q(2, 8);
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 0u);
+    FlatCounter<std::uint64_t> index;
+    RequestQueue q(2, 8, &index);
+    const std::uint64_t block = blockNumber(LogicalAddr(0x40));
+    EXPECT_EQ(index.count(block), 0u);
     q.push(makeReq(0, 0x40));
     q.push(makeReq(1, 0x40 + 16)); // same block, different offset
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 2u);
+    EXPECT_EQ(index.count(block), 2u);
     q.pop(BankId(0));
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 1u);
+    EXPECT_EQ(index.count(block), 1u);
     q.pop(BankId(1));
-    EXPECT_EQ(q.countForBlock(LogicalAddr(0x40)), 0u);
+    EXPECT_EQ(index.count(block), 0u);
+}
+
+TEST(RequestQueue, QueuesSharingABlockIndexCountTogether)
+{
+    // The controller's write and eager queues count into one index;
+    // its read queue keeps none.
+    FlatCounter<std::uint64_t> index;
+    RequestQueue writes(2, 8, &index);
+    RequestQueue eager(2, 8, &index);
+    RequestQueue reads(2, 8);
+    const std::uint64_t block = blockNumber(LogicalAddr(0x80));
+    writes.push(makeReq(0, 0x80));
+    eager.pushFront(makeReq(1, 0x80, ReqType::EagerWrite));
+    reads.push(makeReq(1, 0x80, ReqType::Read));
+    EXPECT_EQ(index.count(block), 2u);
+    reads.pop(BankId(1));
+    writes.pop(BankId(0));
+    EXPECT_EQ(index.count(block), 1u);
+    eager.pop(BankId(1));
+    EXPECT_TRUE(index.empty());
 }
 
 TEST(RequestQueue, OldestArrivalAcrossBanks)
@@ -129,7 +151,8 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
     // counts, oldestArrival) against a deque-of-deques reference
     // after every single operation.
     constexpr unsigned kBanks = 6;
-    RequestQueue q(kBanks, 16);
+    FlatCounter<std::uint64_t> index;
+    RequestQueue q(kBanks, 16, &index);
     std::vector<std::deque<MemRequest>> ref(kBanks);
     std::uint64_t rng = 0x853c49e6748fea9bull;
     auto next = [&rng] {
@@ -156,10 +179,9 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
         ASSERT_EQ(q.size(), total);
         ASSERT_EQ(q.empty(), total == 0);
         ASSERT_EQ(q.oldestArrival(), oldest);
-        for (const auto &[block, count] : blocks) {
-            ASSERT_EQ(q.countForBlock(LogicalAddr(block * kBlockSize)),
-                      count);
-        }
+        ASSERT_EQ(index.size(), blocks.size());
+        for (const auto &[block, count] : blocks)
+            ASSERT_EQ(index.count(block), count);
     };
     for (int op = 0; op < 3000; ++op) {
         unsigned bank = next() % kBanks;
@@ -170,7 +192,7 @@ TEST(RequestQueue, RandomizedAgainstNaiveReference)
             EXPECT_EQ(got.arrival, ref[bank].front().arrival);
             ref[bank].pop_front();
         } else {
-            // Few distinct blocks so countForBlock sees collisions.
+            // Few distinct blocks so the block index sees collisions.
             Addr addr = (next() % 24) * kBlockSize;
             Tick arrival = next() % 500;
             MemRequest r = makeReq(bank, addr, ReqType::Write, arrival);
@@ -246,7 +268,8 @@ TEST(RequestQueue, SteadyStateChurnAllocatesNothing)
     // arena and indexes, the same churn must not touch the heap; the
     // loop holds no gtest macro, so only the queue's calls count.
     constexpr unsigned kBanks = 8;
-    RequestQueue q(kBanks, 32);
+    FlatCounter<std::uint64_t> index;
+    RequestQueue q(kBanks, 32, &index);
     std::uint64_t lookups = 0;
 
     auto churn = [&](std::uint64_t rounds) {
@@ -256,7 +279,7 @@ TEST(RequestQueue, SteadyStateChurnAllocatesNothing)
             q.push(makeReq(bank, nextAddr, ReqType::Write,
                            static_cast<Tick>(r)));
             nextAddr = (nextAddr + kBlockSize) % (1u << 22);
-            lookups += q.countForBlock(LogicalAddr(nextAddr));
+            lookups += index.count(blockNumber(LogicalAddr(nextAddr)));
             if (q.countForBank(BankId(bank)) > 3)
                 lookups += q.pop(BankId(bank)).attempts;
             if (q.oldestArrival() == MaxTick)
