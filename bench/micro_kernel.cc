@@ -7,7 +7,6 @@
  * tools/perf_report.py records in BENCH_perf.json:
  *
  *   perf.event.ns_per_event        host ns per fired event
- *   perf.cancel.ns_per_op          schedule+deschedule churn cost
  *   perf.rq.ns_per_op              request-queue push/pop/index cost
  *
  * That the timed loops allocate nothing at steady state is checked by
@@ -27,7 +26,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 #include "nvm/queues.hh"
 #include "sim/event_queue.hh"
@@ -127,43 +125,6 @@ benchEventKernel(std::uint64_t totalEvents)
 }
 
 /**
- * Schedule/deschedule churn: the controller's dominant cancel shape
- * (write-completion events descheduled by read-triggered
- * cancellation, scheduler dedup events rescheduled earlier).
- */
-void
-benchScheduleCancel(std::uint64_t totalOps)
-{
-    constexpr unsigned kSlots = 128;
-
-    EventQueue eq;
-    std::vector<EventId> handles(kSlots);
-    std::uint64_t fired = 0;
-
-    auto churn = [&](std::uint64_t rounds) {
-        for (std::uint64_t r = 0; r < rounds; ++r) {
-            unsigned slot = static_cast<unsigned>(r % kSlots);
-            if (eq.scheduled(handles[slot]))
-                eq.deschedule(handles[slot]);
-            handles[slot] = eq.scheduleIn(1 + (r % 97),
-                                          [&fired] { ++fired; });
-            if (r % kSlots == kSlots - 1)
-                eq.run(eq.curTick() + 5);
-        }
-        eq.run();
-    };
-
-    churn(totalOps / 10 + kSlots);
-
-    Clock::time_point t0 = Clock::now();
-    churn(totalOps);
-    double secs = secondsSince(t0);
-
-    metric("cancel.ns_per_op",
-           secs * 1e9 / static_cast<double>(totalOps));
-}
-
-/**
  * Request-queue churn: push/pop across banks plus the block-index
  * lookups the read-forwarding path performs per demand read.
  */
@@ -226,7 +187,6 @@ main()
                 static_cast<unsigned long long>(events));
 
     benchEventKernel(events);
-    benchScheduleCancel((events + 1) / 2);
     benchRequestQueue((events + 1) / 2);
     return 0;
 }

@@ -63,12 +63,6 @@ class EagerProfiler
      */
     [[nodiscard]] unsigned uselessFrom() const { return _uselessFrom; }
 
-    /** True iff stack position @p lruPos is currently useless. */
-    [[nodiscard]] bool isUseless(unsigned lruPos) const
-    {
-        return lruPos >= _uselessFrom;
-    }
-
     /** Counters for introspection/benches (current period). */
     [[nodiscard]] const std::vector<std::uint64_t> &hitCounters() const
     {

@@ -20,7 +20,7 @@ MemoryController::MemoryController(EventQueue &eventq,
       _eagerQ(config.geometry.numBanks, config.eagerQueueSize,
               &_pendingWriteBlocks),
       _banks(config.geometry.numBanks), _ranks(config.geometry.numRanks),
-      _writeCompletion(config.geometry.numBanks, InvalidEventHandle),
+      _writeAttempt(config.geometry.numBanks, 0),
       _lastReadArrival(config.geometry.numBanks, 0),
       _pausedBanks(config.geometry.numBanks),
       _passBanks(config.geometry.numBanks),
@@ -30,15 +30,7 @@ MemoryController::MemoryController(EventQueue &eventq,
               WearTrackerConfig w;
               w.numBanks = config.geometry.numBanks;
               w.blocksPerBank = config.geometry.blocksPerBank();
-              // With fault injection enabled the controller owns the
-              // live issue-path leveler; the tracker must not stack a
-              // second (measurement) rotation on top of it.
-              w.leveler = config.fault.enabled ? WearLevelerKind::None
-                                               : config.wearLeveler;
-              w.gapWritePeriod = config.gapWritePeriod;
-              w.levelerSeed = config.levelerSeed;
               w.levelingEfficiency = config.levelingEfficiency;
-              w.detailedBlocks = config.detailedWear;
               return w;
           }(),
           _endurance),
@@ -141,9 +133,6 @@ MemoryController::read(LogicalAddr addr, ReadCallback onComplete)
         ++_stats.forwardedReads;
         _stats.readLatency.sample(
             static_cast<double>(_config.forwardLatency));
-        static_assert(EventQueue::fitsInline<ReadCallback>(),
-                      "forwarded-read callback must use the inline "
-                      "slot, not the out-of-line pool");
         _eventq.scheduleIn(_config.forwardLatency, std::move(onComplete));
         return;
     }
@@ -273,10 +262,7 @@ MemoryController::cancelBankWrite(BankId bank, Tick now)
     _energy.recordCancelledWrite(slow, progress);
     ++_stats.cancelledWrites;
 
-    if (_writeCompletion[bank] != InvalidEventHandle) {
-        _eventq.deschedule(_writeCompletion[bank]);
-        _writeCompletion[bank] = InvalidEventHandle;
-    }
+    ++_writeAttempt[bank];
 
     // The aborted write retries from the front of its queue.
     if (w.type == ReqType::Write) {
@@ -345,8 +331,6 @@ MemoryController::tryIssueRead(BankId bank, Tick now, Tick *nextWake)
             cb();
         requestSchedule(_eventq.curTick());
     };
-    static_assert(EventQueue::fitsInline<decltype(deliver)>(),
-                  "read-completion callback must use the inline slot");
     _eventq.schedule(done, std::move(deliver));
     // The bank frees before the data burst completes; wake then.
     requestSchedule(access_done);
@@ -370,11 +354,7 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
         Tick done = bank_state.resumeWrite(now);
         _pausedBanks.clear(bank);
         ++_stats.resumedWrites;
-        auto fire = [this, bank] { onWriteComplete(bank); };
-        static_assert(EventQueue::fitsInline<decltype(fire)>(),
-                      "write-completion callback must use the inline "
-                      "slot");
-        _writeCompletion[bank] = _eventq.schedule(done, std::move(fire));
+        scheduleWriteCompletion(bank, done);
         return true;
     }
 
@@ -462,11 +442,7 @@ MemoryController::tryIssueWrite(BankId bank, Tick now, Tick *nextWake)
     b.startWrite(now, pulse_start, pulse, std::move(req), slow,
                  may_cancel, may_pause);
 
-    auto fire = [this, bank] { onWriteComplete(bank); };
-    static_assert(EventQueue::fitsInline<decltype(fire)>(),
-                  "write-completion callback must use the inline slot");
-    _writeCompletion[bank] =
-        _eventq.schedule(pulse_start + pulse, std::move(fire));
+    scheduleWriteCompletion(bank, pulse_start + pulse);
 
     if (!eager)
         updateDrainState(now);
@@ -480,10 +456,7 @@ MemoryController::pauseBankWrite(BankId bank, Tick now)
     b.pauseWrite(now);
     _pausedBanks.set(bank);
     ++_stats.pausedWrites;
-    if (_writeCompletion[bank] != InvalidEventHandle) {
-        _eventq.deschedule(_writeCompletion[bank]);
-        _writeCompletion[bank] = InvalidEventHandle;
-    }
+    ++_writeAttempt[bank];
 }
 
 PulseFactor
@@ -560,13 +533,21 @@ MemoryController::chargeMaintenanceWrite(BankId bank, LeveledAddr block,
 }
 
 void
+MemoryController::scheduleWriteCompletion(BankId bank, Tick when)
+{
+    _eventq.schedule(when, [this, bank, attempt = _writeAttempt[bank]] {
+        if (_writeAttempt[bank] == attempt)
+            onWriteComplete(bank);
+    });
+}
+
+void
 MemoryController::onWriteComplete(BankId bank)
 {
     Bank &b = _banks[bank];
     bool slow = b.writeSlow();
     Tick pulse = b.writePulse();
     MemRequest req = b.finishWrite();
-    _writeCompletion[bank] = InvalidEventHandle;
     Tick now = _eventq.curTick();
     // Captured before the Retry branch moves the request away; the
     // leveler counts logical demand writes, retries included (every

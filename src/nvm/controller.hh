@@ -98,14 +98,13 @@ struct MemControllerConfig
     FaultConfig fault;
     /** Leveling efficiency for the lifetime extrapolation. */
     double levelingEfficiency = 0.9;
-    /** Track per-block wear through the leveler (tests/benches). */
-    bool detailedWear = false;
     /**
-     * Wear-leveling scheme. Without fault injection it only drives
-     * the detailed tracker's measurement leveler; with fault
-     * injection enabled the controller owns one live leveler per
-     * bank on the issue path (LineIndex -> LeveledAddr -> DeviceAddr)
-     * and charges its maintenance copies as real write traffic.
+     * Wear-leveling scheme. It acts only under fault injection: the
+     * controller then owns one live leveler per bank on the issue
+     * path (LineIndex -> LeveledAddr -> DeviceAddr) and charges its
+     * maintenance copies as real write traffic. Without faults the
+     * lifetime extrapolation assumes leveled wear (see
+     * levelingEfficiency) and no leveler runs.
      */
     WearLevelerKind wearLeveler = WearLevelerKind::StartGap;
     /** Leveler maintenance period in writes (gap move/refresh step). */
@@ -325,6 +324,12 @@ class MemoryController : public MemoryPort
     [[nodiscard]] bool busAvailable(Tick now, Tick *nextWake) const;
 
     void updateDrainState(Tick now);
+
+    /**
+     * Complete the bank's in-flight write at @p when, unless it is
+     * cancelled or paused first (see _writeAttempt).
+     */
+    void scheduleWriteCompletion(BankId bank, Tick when);
     void onWriteComplete(BankId bank);
     void onQuotaPeriod();
 
@@ -349,7 +354,13 @@ class MemoryController : public MemoryPort
 
     IndexedVector<BankId, Bank> _banks;
     std::vector<Rank> _ranks; ///< indexed by the raw rank number
-    IndexedVector<BankId, EventHandle> _writeCompletion;
+    /**
+     * Attempt number of each bank's in-flight write. A write
+     * completion fires only if the number it captured is still
+     * current; cancelling or pausing the write bumps it, so the
+     * aborted attempt's completion fires as a no-op.
+     */
+    IndexedVector<BankId, std::uint32_t> _writeAttempt;
     /** Arrival tick of the last demand read per bank (0 = never). */
     IndexedVector<BankId, Tick> _lastReadArrival;
     /**

@@ -1,27 +1,16 @@
 #include "sim/event_queue.hh"
 
-#include <new>
-
 namespace mellowsim
 {
 
 EventQueue::~EventQueue()
 {
-    // Destroy callables still pending at teardown, then drain the
-    // out-of-line pool. Slots themselves die with _chunks.
-    for (std::uint32_t i = 0; i < _slotCount; ++i) {
-        Slot &s = slotRef(i);
-        if (s.invoke != nullptr)
-            disarmSlot(s);
-    }
-    for (unsigned b = 0; b < kOutlineBuckets; ++b) {
-        OutlineBlock *block = _outlineFree[b];
-        while (block != nullptr) {
-            OutlineBlock *next = block->next;
-            ::operator delete(static_cast<void *>(block));
-            block = next;
-        }
-        _outlineFree[b] = nullptr;
+    // Destroy the callables still pending at teardown: one per heap
+    // entry. Slots themselves die with _chunks.
+    for (const Entry &e : _heap) {
+        Slot &s = slotRef(slotOf(e.key));
+        if (s.destroy != nullptr)
+            s.destroy(s.storage);
     }
 }
 
@@ -42,96 +31,26 @@ EventQueue::acquireSlot()
 }
 
 void
-EventQueue::releaseSlot(std::uint32_t index)
+EventQueue::fireTop()
 {
-    Slot &s = slotRef(index);
-    s.nextFree = _freeHead;
-    _freeHead = index;
-}
-
-void
-EventQueue::disarmSlot(Slot &s)
-{
-    void *obj = s.outline != nullptr ? s.outline
-                                     : static_cast<void *>(s.storage);
-    if (s.destroy != nullptr)
-        s.destroy(obj);
-    if (s.outline != nullptr) {
-        outlineRelease(s.outline, s.outlineBucket);
-        s.outline = nullptr;
-    }
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    s.pendingKey = 0;
-}
-
-bool
-EventQueue::deschedule(EventHandle handle)
-{
-    if (!scheduled(handle))
-        return false;
-    std::uint32_t slot = slotOf(handle._key);
-    disarmSlot(slotRef(slot));
-    releaseSlot(slot);
-    --_numPending;
-    maybeCompact();
-    return true;
-}
-
-void
-EventQueue::popTop()
-{
+    const Entry top = _heap.front();
     _heap.front() = _heap.back();
     _heap.pop_back();
     if (!_heap.empty())
         heapSiftDown(0);
-}
+    _curTick = top.when;
 
-void
-EventQueue::fireSlot(Slot &s, std::uint32_t index)
-{
-    auto invoke = s.invoke;
-    auto destroy = s.destroy;
-    void *outline = s.outline;
-    unsigned bucket = s.outlineBucket;
-    void *obj = outline != nullptr ? outline
-                                   : static_cast<void *>(s.storage);
-
-    // Disarm before invoking: during the callback the handle already
-    // reports unscheduled and a deschedule() through it is a no-op.
-    // The slot is released only after the callable returns, so a
-    // reentrant schedule() cannot overwrite the running callable.
-    s.invoke = nullptr;
-    s.destroy = nullptr;
-    s.outline = nullptr;
-    s.pendingKey = 0;
-    --_numPending;
-
-    invoke(obj);
-
-    if (destroy != nullptr)
-        destroy(obj);
-    if (outline != nullptr)
-        outlineRelease(outline, bucket);
-    releaseSlot(index);
-}
-
-void
-EventQueue::maybeCompact()
-{
-    // Every pending heap event owns exactly one heap entry, so the
-    // stale (lazily-cancelled) fraction is heap size minus the heap's
-    // pending count; pinned events own no entry and do not count.
-    if (_heap.size() < kCompactMinEntries ||
-        _heap.size() - _numPending <= _heap.size() / 2) {
-        return;
-    }
-    std::erase_if(_heap,
-                  [this](const Entry &e) { return !entryLive(e); });
-    if (_heap.size() > 1) {
-        for (std::size_t i = ((_heap.size() - 2) >> 1) + 1; i-- > 0;)
-            heapSiftDown(i);
-    }
+    // The entry is off the heap before the callable runs, so it may
+    // schedule further events. The slot is released only after the
+    // callable returns, so a reentrant schedule() cannot overwrite
+    // the running callable.
+    const std::uint32_t index = slotOf(top.key);
+    Slot &s = slotRef(index);
+    s.invoke(s.storage);
+    if (s.destroy != nullptr)
+        s.destroy(s.storage);
+    s.nextFree = _freeHead;
+    _freeHead = index;
 }
 
 void
@@ -152,8 +71,7 @@ EventQueue::refreshPinnedTop()
 void
 EventQueue::firePinned()
 {
-    // Disarm before invoking, as fireSlot() does, so the action may
-    // re-arm its own event.
+    // Disarm before invoking so the action may re-arm its own event.
     PinnedEvent &event = *_pinnedTop;
     _curTick = _pinnedTopAt.when;
     event._at = kDisarmed;
@@ -174,17 +92,13 @@ EventQueue::unregisterPinned(PinnedEvent &event)
 bool
 EventQueue::step()
 {
-    dropStaleTop();
     if (pinnedFirst()) {
         firePinned();
         return true;
     }
     if (_heap.empty())
         return false;
-    Entry top = _heap.front();
-    popTop();
-    _curTick = top.when;
-    fireSlot(slotRef(slotOf(top.key)), slotOf(top.key));
+    fireTop();
     return true;
 }
 
@@ -203,7 +117,6 @@ EventQueue::run(Tick stopAt)
 
     std::uint64_t executed = 0;
     for (;;) {
-        dropStaleTop();
         if (pinnedFirst()) {
             if (_pinnedTopAt.when >= stopAt) {
                 _curTick = stopAt;
@@ -211,14 +124,11 @@ EventQueue::run(Tick stopAt)
             }
             firePinned();
         } else if (!_heap.empty()) {
-            Entry top = _heap.front();
-            if (top.when >= stopAt) {
+            if (_heap.front().when >= stopAt) {
                 _curTick = stopAt;
                 break;
             }
-            popTop();
-            _curTick = top.when;
-            fireSlot(slotRef(slotOf(top.key)), slotOf(top.key));
+            fireTop();
         } else {
             if (stopAt != MaxTick && _curTick < stopAt)
                 _curTick = stopAt;
@@ -227,36 +137,6 @@ EventQueue::run(Tick stopAt)
         ++executed;
     }
     return executed;
-}
-
-void *
-EventQueue::outlineAcquire(std::size_t bytes, unsigned *bucket)
-{
-    std::size_t size = kOutlineBaseBytes;
-    unsigned b = 0;
-    while (size < bytes && b + 1 < kOutlineBuckets) {
-        size <<= 1;
-        ++b;
-    }
-    panic_if(size < bytes,
-             "event callable of %zu bytes exceeds the outline pool's "
-             "largest size class (%zu)",
-             bytes, size);
-    *bucket = b;
-    if (_outlineFree[b] != nullptr) {
-        OutlineBlock *block = _outlineFree[b];
-        _outlineFree[b] = block->next;
-        return static_cast<void *>(block);
-    }
-    return ::operator new(size);
-}
-
-void
-EventQueue::outlineRelease(void *block, unsigned bucket)
-{
-    auto *node = static_cast<OutlineBlock *>(block);
-    node->next = _outlineFree[bucket];
-    _outlineFree[bucket] = node;
 }
 
 } // namespace mellowsim

@@ -7,34 +7,31 @@
  * for the same tick fire in FIFO order of scheduling, which keeps
  * every run bit-deterministic.
  *
- * Components may hold an EventHandle to a scheduled event in order to
- * deschedule or reschedule it (e.g. a cancellable write completion).
- * A component's self-re-arming loop (the memory controller's
- * scheduler pass, the LLC's eager scan) instead owns a PinnedEvent:
- * one fixed action with at most one pending firing, kept outside the
- * heap and re-armed in place.
+ * A heap event is fire-and-forget: once scheduled it fires exactly
+ * once and cannot be cancelled. A component that may abandon work it
+ * scheduled (the memory controller's cancelled or paused write
+ * completion) tags the event with an attempt number and lets a stale
+ * firing do nothing. A component's self-re-arming loop (the memory
+ * controller's scheduler pass, the LLC's eager scan) instead owns a
+ * PinnedEvent: one fixed action with at most one pending firing, kept
+ * outside the heap and re-armed in place.
  *
  * Performance architecture (see DESIGN.md "Performance architecture"):
  * the kernel allocates nothing in steady state. Callables live in a
- * slab-allocated pool of fixed-size slots with inline small-buffer
- * storage (kInlineCallableBytes); callables that do not fit fall back
- * to a size-bucketed out-of-line pool, and both recycle through free
- * lists. EventHandles are generation-tagged (slot index, generation),
- * so deschedule() and scheduled() are O(1) array accesses and a stale
- * handle to a recycled slot is detected, not mis-resolved. Cancelled
- * events are removed lazily from the time heap; when more than half
- * of the heap is stale it is compacted in place.
+ * slab-allocated pool of fixed-size slots whose inline storage
+ * (kInlineCallableBytes) every callable must fit, and slots recycle
+ * through a free list.
  *
  * Determinism argument: the heap is ordered by the strict total order
  * (when, seq) where seq is a monotonic schedule counter, so the fire
  * sequence is a pure function of the schedule-call sequence. Slot
- * reuse, free-list order and heap compaction change only *where*
- * callables are stored, never the (when, seq) keys, so they cannot
- * reorder fires. A pinned event draws its seq from the same counter
- * on every (re-)arm, and step()/run() fire whichever of it and the
- * heap top is earlier in (when, seq) order, so it fires exactly where
- * a deschedule + schedule of a heap event would have.
- * tools/determinism_check audits this end to end.
+ * reuse and free-list order change only *where* callables are stored,
+ * never the (when, seq) keys, so they cannot reorder fires. A pinned
+ * event draws its seq from the same counter on every (re-)arm, and
+ * step()/run() fire whichever of it and the heap top is earlier in
+ * (when, seq) order, so it fires exactly where a heap event scheduled
+ * by the same (re-)arm would have. tools/determinism_check audits
+ * this end to end.
  */
 
 #ifndef MELLOWSIM_SIM_EVENT_QUEUE_HH
@@ -43,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <new>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -52,51 +50,6 @@
 
 namespace mellowsim
 {
-
-class EventQueue;
-
-/**
- * Generation-tagged reference to a scheduled event. Obtained from
- * EventQueue::schedule() and consumed by deschedule()/scheduled().
- *
- * A handle stays valid-to-inspect forever: once its event fires or is
- * descheduled the slot's key moves on, so the handle simply reports
- * unscheduled and deschedule() through it is a safe no-op — even
- * after the slot has been recycled for a different event.
- *
- * Representation: one 64-bit key packing the monotonic schedule
- * sequence number (high bits, the generation tag) over the pool slot
- * index (low bits). Key 0 is the "never bound" sentinel — sequence
- * numbers start at 1.
- */
-class EventHandle
-{
-  public:
-    constexpr EventHandle() = default;
-
-    /** True iff this handle was ever bound to an event. */
-    [[nodiscard]] constexpr bool
-    valid() const
-    {
-        return _key != 0;
-    }
-
-    friend constexpr bool operator==(EventHandle, EventHandle) = default;
-
-  private:
-    friend class EventQueue;
-
-    constexpr explicit EventHandle(std::uint64_t key) : _key(key) {}
-
-    std::uint64_t _key = 0;
-};
-
-/** Sentinel for "no event". */
-inline constexpr EventHandle InvalidEventHandle{};
-
-/** Legacy names; the handle is the event's identity. */
-using EventId = EventHandle;
-inline constexpr EventHandle InvalidEventId{};
 
 /**
  * The central event queue.
@@ -110,14 +63,13 @@ class EventQueue
 {
   public:
     /**
-     * Inline callable capacity of one pool slot. Hot-path lambdas
-     * (a captured `this` plus a few words) must fit — the controller
-     * static_asserts its completion callbacks against this; larger
-     * callables transparently use the pooled out-of-line fallback.
+     * Callable capacity of one pool slot. Every event callable must
+     * fit (schedule() static_asserts it): hot-path lambdas capture
+     * `this` plus a few words.
      */
     static constexpr std::size_t kInlineCallableBytes = 48;
 
-    /** True iff F is stored inline in the slot (no fallback). */
+    /** True iff F fits a pool slot. */
     template <typename F>
     [[nodiscard]] static constexpr bool
     fitsInline()
@@ -137,19 +89,21 @@ class EventQueue
     class PinnedEvent;
 
     /**
-     * Schedule @p action to run at absolute tick @p when.
+     * Schedule @p action to run once at absolute tick @p when.
      *
      * @param when  Absolute tick; must be >= curTick().
      * @param action  Callback to execute.
-     * @return Handle usable with deschedule()/scheduled().
      */
     template <typename F>
-    EventHandle
+    void
     schedule(Tick when, F &&action)
     {
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_v<Fn &>,
                       "event action must be callable with no args");
+        static_assert(fitsInline<Fn>(),
+                      "event action must fit a pool slot "
+                      "(kInlineCallableBytes, max_align_t)");
         panic_if(when < _curTick,
                  "scheduling into the past: when=%llu cur=%llu",
                  static_cast<unsigned long long>(when),
@@ -159,20 +113,7 @@ class EventQueue
                  "event sequence counter exhausted");
         std::uint32_t index = acquireSlot();
         Slot &s = slotRef(index);
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(s.storage))
-                Fn(std::forward<F>(action));
-            s.outline = nullptr;
-        } else {
-            static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                          "over-aligned event callables are not "
-                          "supported");
-            unsigned bucket = 0;
-            void *mem = outlineAcquire(sizeof(Fn), &bucket);
-            ::new (mem) Fn(std::forward<F>(action));
-            s.outline = mem;
-            s.outlineBucket = bucket;
-        }
+        ::new (static_cast<void *>(s.storage)) Fn(std::forward<F>(action));
         s.invoke = [](void *obj) { (*static_cast<Fn *>(obj))(); };
         if constexpr (std::is_trivially_destructible_v<Fn>) {
             s.destroy = nullptr;
@@ -180,55 +121,30 @@ class EventQueue
             s.destroy = [](void *obj) { static_cast<Fn *>(obj)->~Fn(); };
         }
 
-        std::uint64_t key = (_nextSeq++ << kSlotBits) | index;
-        s.pendingKey = key;
-        _heap.push_back(Entry{when, key});
+        _heap.push_back(Entry{when, (_nextSeq++ << kSlotBits) | index});
         heapSiftUp(_heap.size() - 1);
-        ++_numPending;
-        return EventHandle(key);
     }
 
     /** Schedule @p action @p delta ticks from now. */
     template <typename F>
-    EventHandle
+    void
     scheduleIn(Tick delta, F &&action)
     {
-        return schedule(_curTick + delta, std::forward<F>(action));
+        schedule(_curTick + delta, std::forward<F>(action));
     }
 
-    /**
-     * Cancel a previously scheduled event. O(1).
-     *
-     * @retval true the event existed and was cancelled.
-     * @retval false the event already fired, was already cancelled, or
-     *               @p handle never referred to an event.
-     */
-    bool deschedule(EventHandle handle);
-
-    /** True iff the event behind @p handle is still pending. O(1). */
-    [[nodiscard]] bool
-    scheduled(EventHandle handle) const
-    {
-        std::uint32_t slot = slotOf(handle._key);
-        if (handle._key == 0 || slot >= _slotCount)
-            return false;
-        return slotRef(slot).pendingKey == handle._key;
-    }
-
-    /** Number of pending events: live heap events plus armed pinned ones. */
+    /** Number of pending events: heap events plus armed pinned ones. */
     [[nodiscard]] std::size_t
     numPending() const
     {
-        return _numPending + _armedPinned;
+        return _heap.size() + _armedPinned;
     }
 
     // --- Audit accessors (src/check/) -----------------------------
     /**
      * Earliest tick of the heap top and the armed pinned events
-     * (MaxTick if neither). The heap top may be a lazily-cancelled
-     * entry, which is fine for auditing: every entry was scheduled at
-     * >= the then-current tick, so even a stale entry must not sit in
-     * the past.
+     * (MaxTick if neither). Every event was scheduled at >= the
+     * then-current tick, so none may sit in the past.
      */
     [[nodiscard]] Tick
     minPendingTick() const
@@ -237,7 +153,7 @@ class EventQueue
         return _pinnedTopAt.when < heap ? _pinnedTopAt.when : heap;
     }
 
-    /** Heap entries, including cancelled ones awaiting lazy removal. */
+    /** Heap entries: one per pending heap event. */
     [[nodiscard]] std::size_t rawHeapSize() const { return _heap.size(); }
 
     /** Armed pinned events; each is pending but owns no heap entry. */
@@ -275,8 +191,9 @@ class EventQueue
      * before it, so a handler may treat model state as constant over
      * the ticks below it and cover many of its own periodic firings
      * at once (the LLC's eager scan does; DESIGN.md "Eager scan"). A
-     * stale heap entry only makes the horizon earlier than it need
-     * be.
+     * heap event whose firing will do nothing (a stale write
+     * completion) bounds it all the same, which only makes the
+     * horizon earlier than it need be.
      *
      * Contract: step() has no stop tick, so the horizon of an event
      * fired by step() reaches the next pending event. A caller that
@@ -317,23 +234,12 @@ class EventQueue
     {
         alignas(std::max_align_t)
             unsigned char storage[kInlineCallableBytes];
-        /** Non-null iff the slot holds a pending callable. */
+        /** Valid while the slot holds a pending callable. */
         void (*invoke)(void *) = nullptr;
         /** Null for trivially-destructible callables. */
         void (*destroy)(void *) = nullptr;
-        /** Out-of-line callable storage; null when inline. */
-        void *outline = nullptr;
-        /**
-         * Key of the pending event occupying this slot; 0 when the
-         * slot is disarmed. The key's sequence bits act as the
-         * generation tag: a stale handle or heap entry into a
-         * recycled slot compares unequal.
-         */
-        std::uint64_t pendingKey = 0;
         /** Free-list link (valid only while the slot is free). */
         std::uint32_t nextFree = kNoSlot;
-        /** Size class of the outline block (valid when outline set). */
-        unsigned outlineBucket = 0;
     };
 
     /**
@@ -366,13 +272,6 @@ class EventQueue
      * since no packed key reaches all ones.
      */
     static constexpr Entry kDisarmed{MaxTick, ~std::uint64_t{0}};
-
-    /** Heap order predicate: true iff @p a fires after @p b. */
-    [[nodiscard]] static bool
-    after(const Entry &a, const Entry &b)
-    {
-        return key128(a) > key128(b);
-    }
 
     void
     heapSiftUp(std::size_t i)
@@ -426,21 +325,9 @@ class EventQueue
 
     static constexpr std::uint32_t kChunkShift = 8;
     static constexpr std::uint32_t kChunkSlots = 1u << kChunkShift;
-    /** Compact only heaps at least this large (hysteresis). */
-    static constexpr std::size_t kCompactMinEntries = 64;
-    /** Out-of-line size classes: 64 B << bucket, up to 64 KiB. */
-    static constexpr unsigned kOutlineBuckets = 11;
-    static constexpr std::size_t kOutlineBaseBytes = 64;
 
     [[nodiscard]] Slot &
     slotRef(std::uint32_t index)
-    {
-        return _chunks[index >> kChunkShift][index &
-                                             (kChunkSlots - 1)];
-    }
-
-    [[nodiscard]] const Slot &
-    slotRef(std::uint32_t index) const
     {
         return _chunks[index >> kChunkShift][index &
                                              (kChunkSlots - 1)];
@@ -453,25 +340,7 @@ class EventQueue
         return static_cast<std::uint32_t>(key & kSlotMask);
     }
 
-    /** True iff the heap entry still refers to a pending event. */
-    [[nodiscard]] bool
-    entryLive(const Entry &e) const
-    {
-        return slotRef(slotOf(e.key)).pendingKey == e.key;
-    }
-
-    /** Pop cancelled entries off the heap top. */
-    void
-    dropStaleTop()
-    {
-        while (!_heap.empty() && !entryLive(_heap.front()))
-            popTop();
-    }
-
-    /**
-     * True iff the earliest armed pinned event fires before the heap
-     * top, which must be live (call dropStaleTop() first).
-     */
+    /** True iff the earliest armed pinned event fires before the heap top. */
     [[nodiscard]] bool
     pinnedFirst() const
     {
@@ -488,33 +357,14 @@ class EventQueue
     void unregisterPinned(PinnedEvent &event);
 
     std::uint32_t acquireSlot();
-    void releaseSlot(std::uint32_t index);
 
-    /**
-     * Disarm a slot: destroy the callable, release any outline block
-     * and bump the generation. The heap entry is left for lazy
-     * removal (deschedule) or has already been popped (fire).
-     */
-    void disarmSlot(Slot &s);
-
-    /** Pop the top heap entry. */
-    void popTop();
-
-    /** Fire the pending event in @p s / @p index at the current tick. */
-    void fireSlot(Slot &s, std::uint32_t index);
-
-    /** Drop cancelled entries and re-heapify when they dominate. */
-    void maybeCompact();
-
-    void *outlineAcquire(std::size_t bytes, unsigned *bucket);
-    void outlineRelease(void *block, unsigned bucket);
+    /** Pop the heap top and fire its event at its tick. */
+    void fireTop();
 
     Tick _curTick = 0;
     /** Stop tick of the active run(); MaxTick outside run(). */
     Tick _stopAt = MaxTick;
     std::uint64_t _nextSeq = 1;
-    /** Pending heap events (pinned events are counted apart). */
-    std::size_t _numPending = 0;
 
     std::vector<Entry> _heap;
 
@@ -529,23 +379,16 @@ class EventQueue
     std::vector<std::unique_ptr<Slot[]>> _chunks;
     std::uint32_t _slotCount = 0;
     std::uint32_t _freeHead = kNoSlot;
-
-    // --- Out-of-line callable pool (size-bucketed free lists) ------
-    struct OutlineBlock
-    {
-        OutlineBlock *next;
-    };
-    OutlineBlock *_outlineFree[kOutlineBuckets] = {};
 };
 
 /**
  * An event owned by its component, with one fixed action and at most
  * one pending firing, kept outside the heap. schedule() arms it, or
  * re-arms a pending one in place, with a fresh key from the queue's
- * schedule counter, so it fires exactly where deschedule + schedule
- * of a heap event would have, at the cost of no slot, no callable and
- * no heap entry. Like a heap event it is disarmed while its action
- * runs, so the action may re-arm it.
+ * schedule counter, so it fires exactly where a heap event scheduled
+ * by the same re-arm would have, at the cost of no slot, no callable
+ * and no heap entry. It is disarmed while its action runs, so the
+ * action may re-arm it.
  *
  * It registers with its queue on construction and unregisters on
  * destruction; the queue must outlive it, as it outlives every

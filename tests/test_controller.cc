@@ -238,6 +238,23 @@ TEST(Controller, CancellationAbortsSlowWriteForRead)
     Tick read_done = 0;
     f.ctrl.read(bankAddr(0, 500),
                 [&] { read_done = f.eq.curTick(); });
+    // Past the cancelled attempt's completion tick (20 ns burst + 450
+    // ns pulse), whose stale event must not complete the retry.
+    const Tick cancelled_end = Tick(470 * kNanosecond);
+    f.eq.run(cancelled_end + 1);
+    const Bank &bank = f.ctrl.bank(BankId(0));
+    const BankWearStats &w = f.ctrl.wearTracker().bankStats(BankId(0));
+    ASSERT_TRUE(bank.writeInFlight());
+    const Tick retry_end = bank.busyUntil();
+    EXPECT_GT(retry_end, cancelled_end + 1);
+    EXPECT_EQ(w.slowWrites, 0u);
+    // The retry completes exactly once, at its own end tick.
+    f.eq.run(retry_end);
+    EXPECT_TRUE(bank.writeInFlight());
+    EXPECT_EQ(w.slowWrites, 0u);
+    f.eq.run(retry_end + 1);
+    EXPECT_FALSE(bank.writeInFlight());
+    EXPECT_EQ(w.slowWrites, 1u);
     f.runFor(10 * kMicrosecond);
     EXPECT_EQ(f.ctrl.stats().cancelledWrites.value(), 1u);
     // The read proceeded at cancellation, not after the 470 ns write.
@@ -245,7 +262,6 @@ TEST(Controller, CancellationAbortsSlowWriteForRead)
     // The write retried: two slow issues for one writeback.
     EXPECT_EQ(f.ctrl.stats().issuedSlowWrites.value(), 2u);
     // Cancelled attempt wears partially.
-    const BankWearStats &w = f.ctrl.wearTracker().bankStats(BankId(0));
     EXPECT_EQ(w.cancelledWrites, 1u);
     EXPECT_EQ(w.slowWrites, 1u);
 }
@@ -427,7 +443,26 @@ TEST(Controller, WritePausingServicesReadThenResumes)
     f.runFor(100 * kNanosecond); // pulse under way
     Tick read_done = 0;
     f.ctrl.read(bankAddr(0, 500), [&] { read_done = f.eq.curTick(); });
+    // Past the paused pulse's original completion tick (20 ns burst +
+    // 450 ns pulse), whose stale event must not complete the resume.
+    const Tick paused_end = Tick(470 * kNanosecond);
+    f.eq.run(paused_end + 1);
+    const Bank &bank = f.ctrl.bank(BankId(0));
+    const BankWearStats &w = f.ctrl.wearTracker().bankStats(BankId(0));
+    EXPECT_EQ(f.ctrl.stats().resumedWrites.value(), 1u);
+    ASSERT_TRUE(bank.writeInFlight());
+    const Tick resume_end = bank.busyUntil();
+    EXPECT_GT(resume_end, paused_end + 1);
+    EXPECT_EQ(w.slowWrites, 0u);
+    // The resumed write completes exactly once, at its own end tick.
+    f.eq.run(resume_end);
+    EXPECT_TRUE(bank.writeInFlight());
+    EXPECT_EQ(w.slowWrites, 0u);
+    f.eq.run(resume_end + 1);
+    EXPECT_FALSE(bank.writeInFlight());
+    EXPECT_EQ(w.slowWrites, 1u);
     f.runFor(10 * kMicrosecond);
+    EXPECT_EQ(w.slowWrites, 1u);
     EXPECT_EQ(f.ctrl.stats().pausedWrites.value(), 1u);
     EXPECT_EQ(f.ctrl.stats().resumedWrites.value(), 1u);
     EXPECT_EQ(f.ctrl.stats().cancelledWrites.value(), 0u);

@@ -24,9 +24,7 @@ config(unsigned assoc = 8, double ratio = 1.0 / 32.0)
 TEST(EagerProfiler, NothingUselessBeforeFirstPeriod)
 {
     EagerProfiler p(config());
-    EXPECT_EQ(p.uselessFrom(), 8u);
-    for (unsigned pos = 0; pos < 8; ++pos)
-        EXPECT_FALSE(p.isUseless(pos));
+    EXPECT_EQ(p.uselessFrom(), 8u); // no position is useless
 }
 
 TEST(EagerProfiler, FigureSevenScenario)
@@ -55,10 +53,7 @@ TEST(EagerProfiler, FigureSevenScenario)
         p.notifyMiss();
 
     p.onSamplePeriod();
-    EXPECT_EQ(p.uselessFrom(), 3u);
-    EXPECT_FALSE(p.isUseless(2));
-    EXPECT_TRUE(p.isUseless(3));
-    EXPECT_TRUE(p.isUseless(7));
+    EXPECT_EQ(p.uselessFrom(), 3u); // positions 3..7 are useless
 }
 
 TEST(EagerProfiler, AllHitsAtMruMarksEverythingElseUseless)

@@ -37,8 +37,8 @@
  * runs of one build: it runs a fixed matrix (every generator under
  * Norm and BE-Mellow+SC+WQ, plus one fault-injection run, one SoftWear
  * run, one WoLFRaM run, one 4-channel run, one run per shipped device
- * config and one run that ends capacity-exhausted, each 500K
- * instructions after a 50K warm-up) and
+ * config, one run that ends capacity-exhausted and one run with
+ * write pausing, each 500K instructions after a 50K warm-up) and
  * byte-compares the concatenated fingerprints against a committed
  * file (tests/golden/fingerprints.txt). With "-" as the file the
  * matrix is written to stdout instead, which is how the file is
@@ -367,6 +367,11 @@ runGoldenMode(const std::string &path)
         cfg.memory.fault.capacityFloorFraction = 0.999;
         matrix.emplace_back("gups BE-Mellow+SC capacity-exhausted", cfg);
     }
+    // Write pausing: a read arriving during a slow write pauses it and
+    // the write resumes later, the other path that aborts an in-flight
+    // write completion besides cancellation.
+    matrix.emplace_back("lbm BE-Mellow+SC+WP",
+                        base("lbm", "BE-Mellow+SC+WP"));
 
     std::string actual;
     for (const auto &[label, cfg] : matrix) {

@@ -6,7 +6,7 @@ five times with --trace 0 and five times with --trace 1, at
 --seed 1 --seconds 3, and records the median, first and third
 quartile and unit of every end-to-end and per-layer metric
 BENCHMARK.json declares. It then builds bench/micro_kernel under the
-release-lto preset and runs it five times for the event, cancel and
+release-lto preset and runs it five times for the event and
 request-queue loop timings, recorded the same way. The point is
 tagged with the host's core count.
 

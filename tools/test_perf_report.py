@@ -24,7 +24,6 @@ with open(os.path.join(perf_report.REPO_ROOT, "BENCHMARK.json")) as f:
 
 KERNEL_STDOUT = ("# micro_kernel: events=1000\n"
                  "perf.event.ns_per_event 60.5\n"
-                 "perf.cancel.ns_per_op 40\n"
                  "perf.rq.ns_per_op 150.25\n")
 
 
@@ -133,7 +132,7 @@ class MakePointTest(unittest.TestCase):
     def test_kernel_loop_timings(self):
         kernel = self.point["kernel"]
         self.assertEqual(set(kernel), {"event.ns_per_event",
-                                       "cancel.ns_per_op", "rq.ns_per_op"})
+                                       "rq.ns_per_op"})
         self.assertEqual(kernel["rq.ns_per_op"],
                          {"median": 150.25, "q1": 150.25, "q3": 150.25,
                           "unit": "ns"})
